@@ -7,14 +7,8 @@ Usage: python scripts/verify_sweep.py [bound ...]
 import sys
 import time
 
-from brandt_omega.brandt import verify_embedding_homomorphism, verify_restricted_closed
 from brandt_omega.families import AtomicFamily, parse_support
-from brandt_omega.verification import (
-    BoundedUniverse,
-    check_associativity,
-    check_inverse_axioms,
-    check_order_equivalence,
-)
+from brandt_omega.verification import VERIFY_CHECKS
 
 SUPPORTS = ["0", "0,1,3", "2,5", "0,+4", "1,2,+6"]
 
@@ -25,17 +19,9 @@ def main():
     for text in SUPPORTS:
         fam = AtomicFamily(parse_support(text))
         for bound in bounds:
-            atoms = BoundedUniverse.atoms(fam, bound)
-            checks = [
-                ("associativity", lambda: check_associativity(atoms)),
-                ("inverse-axioms", lambda: check_inverse_axioms(atoms)),
-                ("order-equivalence", lambda: check_order_equivalence(atoms)),
-                ("embedding-homomorphism", lambda: verify_embedding_homomorphism(fam, bound)),
-                ("restricted-closure", lambda: verify_restricted_closed(fam, bound)),
-            ]
-            for name, fn in checks:
+            for name, run, _kind in VERIFY_CHECKS:
                 start = time.monotonic()
-                r = fn()
+                r = run(fam, bound)
                 dt = time.monotonic() - start
                 status = "ok" if r.passed else f"FAIL {r.counterexample}"
                 print(f"{text:>8}  {bound:>5}  {name:<24} {r.checked:>10}  {dt:6.2f}s  {status}")

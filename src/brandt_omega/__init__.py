@@ -5,7 +5,6 @@ topologies."""
 
 from .brandt import (
     BrandtElem,
-    MinSemilattice,
     brandt_invert,
     brandt_multiply,
     embed,

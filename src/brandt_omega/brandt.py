@@ -9,15 +9,11 @@ embedding (i, j, {k}) -> (i+k, k, j+k).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from .core import AtomElem, Elem, ZERO, Zero, elements_upto, multiply, validate_elem
-from .errors import InvalidElementError, NotInImageError, ParseError
-from .families import AtomicFamily, SupportSet
+from .core import AtomElem, Elem, ElemKind, ZERO, Zero, elements_upto, multiply, validate_elem
+from .errors import NotInImageError, ParseError
+from .families import AtomicFamily, nat
 from .report import VerificationReport
-
-O = ZERO  # customary name for the zero on the Brandt side; same sentinel
-
 
 @dataclass(frozen=True, order=True, slots=True)
 class BrandtElem:
@@ -29,29 +25,13 @@ class BrandtElem:
 BrElem = Zero | BrandtElem
 
 
-@dataclass(frozen=True)
-class MinSemilattice:
-    """The support under meet(x, y) = min(x, y)."""
-
-    support: SupportSet
-
-    def meet(self, x: int, y: int) -> int:
-        if x not in self.support or y not in self.support:
-            raise InvalidElementError("meet arguments must lie in the support")
-        return min(x, y)
-
-
-def brandt_multiply(a: BrElem, b: BrElem, meet: Callable[[int, int], int] = min) -> BrElem:
-    """Index-matching product; generic in the value semilattice.
-
-    The kernel never consults the index set, so any hashable indices work;
-    the default meet is min.
-    """
+def brandt_multiply(a: BrElem, b: BrElem) -> BrElem:
+    """Index-matching product; values meet by min."""
     if a is ZERO or b is ZERO:
         return ZERO
     if a.col != b.row:
         return ZERO
-    return BrandtElem(a.row, meet(a.val, b.val), b.col)
+    return BrandtElem(a.row, min(a.val, b.val), b.col)
 
 
 def brandt_invert(e: BrElem) -> BrElem:
@@ -147,12 +127,6 @@ def verify_restricted_closed(f: AtomicFamily, bound: int) -> VerificationReport:
     return VerificationReport(True, checked, note=f"closed under products on {len(univ)} elements")
 
 
-def brandt_sort_key(e: BrElem) -> tuple[int, int, int, int]:
-    if e is ZERO:
-        return (0, 0, 0, 0)
-    return (1, e.row, e.val, e.col)
-
-
 # --- text and JSON forms ------------------------------------------------
 
 def format_brandt(e: BrElem) -> str:
@@ -167,7 +141,7 @@ def parse_brandt(text: str) -> BrElem:
         return ZERO
     if s.startswith("(") and s.endswith(")"):
         parts = s[1:-1].split(";")
-        if len(parts) == 3 and all(p.isdigit() for p in parts):
+        if len(parts) == 3 and all(nat(p) for p in parts):
             return BrandtElem(*(int(p) for p in parts))
     raise ParseError(f"bad Brandt element: {text!r}")
 
@@ -178,10 +152,6 @@ def brandt_to_json(e: BrElem) -> dict:
     return {"row": e.row, "val": e.val, "col": e.col}
 
 
-def brandt_from_json(obj: dict) -> BrElem:
-    if obj.get("O"):
-        return ZERO
-    try:
-        return BrandtElem(int(obj["row"]), int(obj["val"]), int(obj["col"]))
-    except (KeyError, TypeError) as e:
-        raise ParseError(f"bad Brandt element object: {obj!r}") from e
+BRANDT = ElemKind(mul=brandt_multiply, inv=brandt_invert, idem=brandt_is_idempotent,
+                  validate=validate_restricted, parse=parse_brandt, fmt=format_brandt,
+                  to_json=brandt_to_json)

@@ -14,43 +14,14 @@ import os
 import re
 import sys
 
-from . import brandt, core, equations, topology
-from .brandt import (
-    embed,
-    embed_inverse,
-    fiber,
-    format_brandt,
-    parse_brandt,
-    verify_embedding_homomorphism,
-    verify_restricted_closed,
-)
-from .core import (
-    ZERO,
-    format_elem,
-    idempotent_chain_census,
-    immediate_predecessors,
-    maximal_chain_down,
-    multiply,
-    nat_leq,
-    parse_elem,
-)
+from . import core, equations, topology
+from .brandt import BRANDT, embed, embed_inverse, fiber
+from .core import ATOMS, ElemKind
 from .errors import BrandtOmegaError, ParseError
-from .families import are_translate_equivalent, parse_family
+from .families import are_translate_equivalent, nat, parse_family
 from .report import VerificationReport
-from .topology import (
-    AcNbhd,
-    Tau1Nbhd,
-    check_prop49_condition,
-    check_shift_continuity_ac,
-    find_zero_witness,
-    tau1_self_product_check,
-)
-from .verification import (
-    BoundedUniverse,
-    check_associativity,
-    check_inverse_axioms,
-    check_order_equivalence,
-)
+from .topology import AcNbhd, Tau1Nbhd
+from .verification import VERIFY_CHECKS
 
 DEFAULT_BOUND = 6
 
@@ -59,7 +30,7 @@ def _default_bound() -> int:
     raw = os.environ.get("BRANDT_OMEGA_BOUND")
     if raw is None:
         return DEFAULT_BOUND
-    if not raw.isdigit():
+    if not nat(raw):
         raise ParseError(f"BRANDT_OMEGA_BOUND must be a natural, got {raw!r}")
     return int(raw)
 
@@ -68,7 +39,14 @@ def _bound(args) -> int:
     return args.bound if args.bound is not None else _default_bound()
 
 
-_AC_PAIR = re.compile(r"\((\d+),(\d+)\)")
+def _natural(text: str) -> int:
+    # argparse type for bounds and coordinates: ASCII digits only
+    if not nat(text):
+        raise argparse.ArgumentTypeError(f"invalid natural value: {text!r}")
+    return int(text)
+
+
+_AC_PAIR = re.compile(r"\(([0-9]+),([0-9]+)\)")
 
 
 def parse_nbhd(text: str):
@@ -76,226 +54,174 @@ def parse_nbhd(text: str):
     s = "".join(text.split())
     if s.startswith("ac:"):
         rest = s[3:]
-        if not re.fullmatch(r"(?:\(\d+,\d+\))*", rest):
+        if not re.fullmatch(r"(?:\([0-9]+,[0-9]+\))*", rest):
             raise ParseError(f"bad neighborhood: {text!r}")
         pairs = frozenset((int(a), int(b)) for a, b in _AC_PAIR.findall(rest))
         return AcNbhd(pairs)
-    if s.startswith("t1:") and s[3:].isdigit():
+    if s.startswith("t1:") and nat(s[3:]):
         return Tau1Nbhd(int(s[3:]))
     raise ParseError(f"bad neighborhood: {text!r}")
 
 
 def parse_brandt_list(text: str) -> list:
     s = "".join(text.split())
-    if not re.fullmatch(r"(?:O|\(\d+;\d+;\d+\))(?:,(?:O|\(\d+;\d+;\d+\)))*", s):
+    if not re.fullmatch(r"(?:O|\([0-9]+;[0-9]+;[0-9]+\))(?:,(?:O|\([0-9]+;[0-9]+;[0-9]+\)))*", s):
         raise ParseError(f"bad element list: {text!r}")
-    return [parse_brandt(m) for m in re.findall(r"O|\(\d+;\d+;\d+\)", s)]
+    return [BRANDT.parse(m) for m in re.findall(r"O|\([0-9]+;[0-9]+;[0-9]+\)", s)]
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
+def _emit(args, obj, *lines: str) -> None:
+    """Print obj as one JSON line under --output json, else the text lines."""
+    if args.output == "json":
+        print(json.dumps(obj, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
 
 
-def _report_lines(name: str, r: VerificationReport, as_json: bool, elem_json) -> None:
-    if as_json:
-        _emit_json({"name": name, **r.to_json_dict(elem_json)})
-        return
+def _report(args, name: str, r: VerificationReport, kind: ElemKind) -> None:
     if r.passed:
-        print(f"{name}: pass (checked={r.checked})")
+        line = f"{name}: pass (checked={r.checked})"
     else:
         ce = " ".join(str(e) for e in r.counterexample)
-        print(f"{name}: fail (counterexample={ce}; note={r.note})")
+        line = f"{name}: fail (counterexample={ce}; note={r.note})"
+    _emit(args, {"name": name, **r.to_json_dict(kind.to_json)}, line)
 
 
 # --- command handlers -----------------------------------------------------
 
-def _cmd_mul(args) -> int:
-    f = parse_family(args.family)
-    if args.brandt:
-        a, b = parse_brandt(args.a), parse_brandt(args.b)
-        brandt.validate_restricted(a, f)
-        brandt.validate_restricted(b, f)
-        r = brandt.brandt_multiply(a, b)
-        print(json.dumps(brandt.brandt_to_json(r), sort_keys=True) if args.output == "json" else format_brandt(r))
-    else:
-        a, b = parse_elem(args.a), parse_elem(args.b)
-        r = multiply(a, b, f)
-        print(json.dumps(core.elem_to_json(r), sort_keys=True) if args.output == "json" else format_elem(r))
+def _cmd_mul(args, f) -> int:
+    kind = BRANDT if args.brandt else ATOMS
+    a, b = kind.parse(args.a), kind.parse(args.b)
+    kind.validate(a, f)
+    kind.validate(b, f)
+    r = kind.mul(a, b)
+    _emit(args, kind.to_json(r), kind.fmt(r))
     return 0
 
 
-def _cmd_solve(args) -> int:
-    f = parse_family(args.family)
-    A, B = parse_brandt(args.a), parse_brandt(args.b)
+def _cmd_solve(args, f) -> int:
+    A, B = BRANDT.parse(args.a), BRANDT.parse(args.b)
     solve = equations.solve_left if args.left else equations.solve_right
     result = solve(A, B, f)
     if isinstance(result, equations.InfiniteZeroCase):
-        if args.output == "json":
-            _emit_json({"infinite": result.description})
-        else:
-            print(f"infinite: {result.description}")
+        _emit(args, {"infinite": result.description}, f"infinite: {result.description}")
         return 0
-    if args.output == "json":
-        _emit_json({"solutions": [brandt.brandt_to_json(x) for x in result.solutions]})
-    else:
-        for x in result.solutions:
-            print(format_brandt(x))
+    sols = result.solutions
+    _emit(args, {"solutions": [BRANDT.to_json(x) for x in sols]}, *map(BRANDT.fmt, sols))
     return 0
 
 
-def _cmd_chain(args) -> int:
-    f = parse_family(args.family)
-    x = parse_elem(args.elem)
-    chain = maximal_chain_down(x, f)
-    if args.output == "json":
-        _emit_json([core.elem_to_json(e) for e in chain])
-    else:
-        print(" ".join(format_elem(e) for e in chain))
+def _cmd_chain(args, f) -> int:
+    chain = core.maximal_chain_down(ATOMS.parse(args.elem), f)
+    _emit(args, [ATOMS.to_json(e) for e in chain], " ".join(map(ATOMS.fmt, chain)))
     return 0
 
 
 def _census_dot(f, bound: int) -> str:
     atoms = core.census_atoms(f, bound)
-    nodes = [ZERO] + [core.AtomElem(i, i, k) for i in range(bound + 1) for k in atoms]
+    nodes = [core.ZERO] + [core.AtomElem(i, i, k) for i in range(bound + 1) for k in atoms]
     nodes.sort(key=core.sort_key)
     lines = ["digraph idempotent_order {", "  rankdir=BT;"]
     for e in nodes:
-        lines.append(f'  "{format_elem(e)}";')
+        lines.append(f'  "{ATOMS.fmt(e)}";')
     node_set = set(nodes)
     for e in nodes:
-        if e is ZERO:
+        if e is core.ZERO:
             continue
-        (pred,) = immediate_predecessors(e, f)
+        (pred,) = core.immediate_predecessors(e, f)
         if pred in node_set:
-            lines.append(f'  "{format_elem(pred)}" -> "{format_elem(e)}";')
+            lines.append(f'  "{ATOMS.fmt(pred)}" -> "{ATOMS.fmt(e)}";')
     lines.append("}")
     return "\n".join(lines)
 
 
-def _cmd_census(args) -> int:
-    f = parse_family(args.family)
+def _cmd_census(args, f) -> int:
     bound = _bound(args)
     if args.output == "dot":
         print(_census_dot(f, bound))
         return 0
-    census = idempotent_chain_census(f, bound)
-    if args.output == "json":
-        _emit_json({str(length): count for length, count in census.items()})
-    else:
-        for length, count in census.items():
-            print(f"{length} {count}")
+    census = core.idempotent_chain_census(f, bound)
+    _emit(args, {str(length): count for length, count in census.items()},
+          *(f"{length} {count}" for length, count in census.items()))
     return 0
 
 
-def _cmd_iso(args) -> int:
-    f1 = parse_family(args.family)
-    f2 = parse_family(args.other)
-    n = are_translate_equivalent(f1, f2)
-    if args.output == "json":
-        _emit_json({"n": n})
-    else:
-        print(f"n={n}" if n is not None else "not-isomorphic")
+def _cmd_iso(args, f) -> int:
+    n = are_translate_equivalent(f, parse_family(args.other))
+    _emit(args, {"n": n}, f"n={n}" if n is not None else "not-isomorphic")
     return 0
 
 
-def _cmd_fiber(args) -> int:
-    f = parse_family(args.family)
+def _cmd_fiber(args, f) -> int:
     elems = fiber(args.row, args.col, f)
-    if args.output == "json":
-        _emit_json([brandt.brandt_to_json(e) for e in elems])
-    else:
-        for e in elems:
-            print(format_brandt(e))
+    _emit(args, [BRANDT.to_json(e) for e in elems], *map(BRANDT.fmt, elems))
     return 0
 
 
-def _cmd_embed(args) -> int:
-    f = parse_family(args.family)
-    if args.inverse:
-        e = parse_brandt(args.elem)
-        x = embed_inverse(e, f)
-        print(json.dumps(core.elem_to_json(x), sort_keys=True) if args.output == "json" else format_elem(x))
-    else:
-        x = parse_elem(args.elem)
-        e = embed(x, f)
-        print(json.dumps(brandt.brandt_to_json(e), sort_keys=True) if args.output == "json" else format_brandt(e))
+def _cmd_embed(args, f) -> int:
+    src, dst, image = (BRANDT, ATOMS, embed_inverse) if args.inverse else (ATOMS, BRANDT, embed)
+    x = image(src.parse(args.elem), f)
+    _emit(args, dst.to_json(x), dst.fmt(x))
     return 0
 
 
-def _cmd_order(args) -> int:
-    f = parse_family(args.family)
-    x, y = parse_elem(args.x), parse_elem(args.y)
-    core.validate_elem(x, f)
-    core.validate_elem(y, f)
-    result = nat_leq(x, y)
-    if args.output == "json":
-        _emit_json({"result": result})
-    else:
-        print("true" if result else "false")
+def _cmd_order(args, f) -> int:
+    x, y = ATOMS.parse(args.x), ATOMS.parse(args.y)
+    ATOMS.validate(x, f)
+    ATOMS.validate(y, f)
+    result = core.nat_leq(x, y)
+    _emit(args, {"result": result}, "true" if result else "false")
     return 0
 
 
-def _cmd_topo(args) -> int:
-    f = parse_family(args.family)
-    bound = _bound(args) if hasattr(args, "bound") else None
-    as_json = args.output == "json"
-    if args.topo_cmd == "ac-check":
-        u = parse_nbhd(args.nbhd)
-        if not isinstance(u, AcNbhd):
-            raise ParseError("ac-check needs an ac: neighborhood")
-        x = parse_brandt(args.elem)
-        r = check_shift_continuity_ac(u, x, f, bound)
-        inv = topology.check_inversion_ac(u, f, bound)
-        _report_lines("shift-continuity", r, as_json, brandt.brandt_to_json)
-        _report_lines("inversion", inv, as_json, brandt.brandt_to_json)
-        return 0 if r.passed and inv.passed else 1
-    if args.topo_cmd == "t1-check":
-        u = Tau1Nbhd(args.n)
-        if args.elem is not None:
-            x = parse_brandt(args.elem)
-            r = topology.check_continuity_tau1(u, x, f, bound)
-        else:
-            r = tau1_self_product_check(u, f, bound)
-        _report_lines("t1-continuity", r, as_json, brandt.brandt_to_json)
-        return 0 if r.passed else 1
-    if args.topo_cmd == "prop49":
-        u = parse_nbhd(args.nbhd)
-        M = parse_brandt_list(args.m)
-        ok = check_prop49_condition(u, M, f, bound)
-        if as_json:
-            _emit_json({"result": ok})
-        else:
-            print("true" if ok else "false")
-        return 0 if ok else 1
-    if args.topo_cmd == "witness":
-        a = parse_brandt(args.a)
-        D = parse_brandt_list(args.d)
-        w = find_zero_witness(a, D)
-        if as_json:
-            _emit_json(brandt.brandt_to_json(w) if w is not None else None)
-        else:
-            print(format_brandt(w) if w is not None else "none")
-        return 0 if w is not None else 1
-    raise ParseError(f"unknown topo subcommand {args.topo_cmd!r}")
-
-
-def _cmd_verify(args) -> int:
-    f = parse_family(args.family)
+def _cmd_ac_check(args, f) -> int:
     bound = _bound(args)
-    as_json = args.output == "json"
-    atoms = BoundedUniverse.atoms(f, bound)
-    checks = [
-        ("associativity", lambda: check_associativity(atoms)),
-        ("inverse-axioms", lambda: check_inverse_axioms(atoms)),
-        ("order-equivalence", lambda: check_order_equivalence(atoms)),
-        ("embedding-homomorphism", lambda: verify_embedding_homomorphism(f, bound)),
-        ("restricted-closure", lambda: verify_restricted_closed(f, bound)),
-    ]
+    u = parse_nbhd(args.nbhd)
+    if not isinstance(u, AcNbhd):
+        raise ParseError("ac-check needs an ac: neighborhood")
+    x = BRANDT.parse(args.elem)
+    r = topology.check_shift_continuity_ac(u, x, f, bound)
+    inv = topology.check_inversion_ac(u, f, bound)
+    _report(args, "shift-continuity", r, BRANDT)
+    _report(args, "inversion", inv, BRANDT)
+    return 0 if r.passed and inv.passed else 1
+
+
+def _cmd_t1_check(args, f) -> int:
+    bound = _bound(args)
+    u = Tau1Nbhd(args.n)
+    if args.elem is not None:
+        r = topology.check_continuity_tau1(u, BRANDT.parse(args.elem), f, bound)
+    else:
+        r = topology.tau1_self_product_check(u, f, bound)
+    _report(args, "t1-continuity", r, BRANDT)
+    return 0 if r.passed else 1
+
+
+def _cmd_prop49(args, f) -> int:
+    bound = _bound(args)
+    u = parse_nbhd(args.nbhd)
+    M = parse_brandt_list(args.m)
+    ok = topology.check_prop49_condition(u, M, f, bound)
+    _emit(args, {"result": ok}, "true" if ok else "false")
+    return 0 if ok else 1
+
+
+def _cmd_witness(args, f) -> int:
+    a = BRANDT.parse(args.a)
+    D = parse_brandt_list(args.d)
+    w = topology.find_zero_witness(a, D)
+    _emit(args, None if w is None else BRANDT.to_json(w), "none" if w is None else BRANDT.fmt(w))
+    return 0 if w is not None else 1
+
+
+def _cmd_verify(args, f) -> int:
+    bound = _bound(args)
     all_passed = True
-    for name, fn in checks:
-        r = fn()
-        elem_json = core.elem_to_json if name != "restricted-closure" else brandt.brandt_to_json
-        _report_lines(name, r, as_json, elem_json)
+    for name, run, kind in VERIFY_CHECKS:
+        r = run(f, bound)
+        _report(args, name, r, kind)
         all_passed = all_passed and r.passed
     return 0 if all_passed else 1
 
@@ -310,92 +236,71 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, bound=True, dot=False):
+    def command(subs, name: str, summary: str, func, bound: bool = False, dot: bool = False):
+        p = subs.add_parser(name, help=summary)
         p.add_argument("--family", required=True, help='support, e.g. "0,1,3" or "0,2,+7"')
         outputs = ["text", "json", "dot"] if dot else ["text", "json"]
         p.add_argument("--output", choices=outputs, default="text")
         if bound:
-            p.add_argument("--bound", type=int, default=None,
+            p.add_argument("--bound", type=_natural, default=None,
                            help=f"sweep bound (default {DEFAULT_BOUND}, env BRANDT_OMEGA_BOUND)")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("mul", help="multiply two elements")
-    common(p, bound=False)
+    p = command(sub, "mul", "multiply two elements", _cmd_mul)
     p.add_argument("--brandt", action="store_true", help="use (row;val;col) elements")
     p.add_argument("a")
     p.add_argument("b")
-    p.set_defaults(func=_cmd_mul)
 
-    p = sub.add_parser("solve", help="solve A*X=B (left) or X*A=B (right)")
-    common(p, bound=False)
+    p = command(sub, "solve", "solve A*X=B (left) or X*A=B (right)", _cmd_solve)
     side = p.add_mutually_exclusive_group(required=True)
     side.add_argument("--left", action="store_true")
     side.add_argument("--right", action="store_true")
     p.add_argument("a")
     p.add_argument("b")
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("chain", help="maximal descending chain from an element")
-    common(p, bound=False)
+    p = command(sub, "chain", "maximal descending chain from an element", _cmd_chain)
     p.add_argument("elem")
-    p.set_defaults(func=_cmd_chain)
 
-    p = sub.add_parser("census", help="chain-length census of idempotents")
-    common(p, dot=True)
-    p.set_defaults(func=_cmd_census)
+    command(sub, "census", "chain-length census of idempotents", _cmd_census, bound=True, dot=True)
 
-    p = sub.add_parser("iso", help="decide translate equivalence of two families")
-    common(p, bound=False)
+    p = command(sub, "iso", "decide translate equivalence of two families", _cmd_iso)
     p.add_argument("--other", required=True, help="second support")
-    p.set_defaults(func=_cmd_iso)
 
-    p = sub.add_parser("fiber", help="list a fiber of the restricted subsemigroup")
-    common(p, bound=False)
-    p.add_argument("row", type=int)
-    p.add_argument("col", type=int)
-    p.set_defaults(func=_cmd_fiber)
+    p = command(sub, "fiber", "list a fiber of the restricted subsemigroup", _cmd_fiber)
+    p.add_argument("row", type=_natural)
+    p.add_argument("col", type=_natural)
 
-    p = sub.add_parser("embed", help="map an element into the Brandt extension (or back)")
-    common(p, bound=False)
+    p = command(sub, "embed", "map an element into the Brandt extension (or back)", _cmd_embed)
     p.add_argument("--inverse", action="store_true", help="map a Brandt element back")
     p.add_argument("elem")
-    p.set_defaults(func=_cmd_embed)
 
-    p = sub.add_parser("order", help="natural partial order test x <= y")
-    common(p, bound=False)
+    p = command(sub, "order", "natural partial order test x <= y", _cmd_order)
     p.add_argument("x")
     p.add_argument("y")
-    p.set_defaults(func=_cmd_order)
 
     p = sub.add_parser("topo", help="topology checks at a finite bound")
     topo_sub = p.add_subparsers(dest="topo_cmd", required=True)
 
-    q = topo_sub.add_parser("ac-check", help="shift continuity and inversion for an ac: neighborhood")
-    common(q)
+    q = command(topo_sub, "ac-check", "shift continuity and inversion for an ac: neighborhood",
+                _cmd_ac_check, bound=True)
     q.add_argument("--nbhd", required=True, help='e.g. "ac:(2,5)"')
     q.add_argument("--elem", required=True, help="translating element (row;val;col)")
-    q.set_defaults(func=_cmd_topo)
 
-    q = topo_sub.add_parser("t1-check", help="threshold-neighborhood continuity")
-    common(q)
+    q = command(topo_sub, "t1-check", "threshold-neighborhood continuity", _cmd_t1_check, bound=True)
     q.add_argument("--n", type=int, required=True, help="threshold of the neighborhood")
     q.add_argument("--elem", default=None, help="optional translating element")
-    q.set_defaults(func=_cmd_topo)
 
-    q = topo_sub.add_parser("prop49", help="neighborhood avoids all phi/psi preimages of M")
-    common(q)
+    q = command(topo_sub, "prop49", "neighborhood avoids all phi/psi preimages of M", _cmd_prop49,
+                bound=True)
     q.add_argument("--nbhd", required=True)
     q.add_argument("--m", required=True, help='idempotents, e.g. "(5;0;5),(7;0;7)"')
-    q.set_defaults(func=_cmd_topo)
 
-    q = topo_sub.add_parser("witness", help="find d in D annihilated by a on either side")
-    common(q, bound=False)
+    q = command(topo_sub, "witness", "find d in D annihilated by a on either side", _cmd_witness)
     q.add_argument("--a", required=True)
     q.add_argument("--d", required=True, help="comma-separated candidates")
-    q.set_defaults(func=_cmd_topo)
 
-    p = sub.add_parser("verify", help="run the five core verification sweeps")
-    common(p)
-    p.set_defaults(func=_cmd_verify)
+    command(sub, "verify", "run the five core verification sweeps", _cmd_verify, bound=True)
 
     return parser
 
@@ -404,13 +309,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        # every command takes --family; a malformed one is an error even
+        # where the command itself needs no family
+        return args.func(args, parse_family(args.family))
     except BrandtOmegaError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(e, ParseError) else 3
 
 
 def run() -> None:

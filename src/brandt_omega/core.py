@@ -9,9 +9,10 @@ families and doubles as the oracle for the singleton case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from .errors import InvalidElementError, ParseError
-from .families import AtomicFamily, GeneralFamily
+from .families import AtomicFamily, GeneralFamily, nat
 
 
 class Zero:
@@ -247,7 +248,7 @@ def parse_elem(text: str) -> Elem:
         return ZERO
     if s.startswith("(") and s.endswith(")"):
         parts = s[1:-1].split(",")
-        if len(parts) == 3 and all(p.isdigit() for p in parts):
+        if len(parts) == 3 and all(nat(p) for p in parts):
             return AtomElem(*(int(p) for p in parts))
     raise ParseError(f"bad element: {text!r}")
 
@@ -258,10 +259,26 @@ def elem_to_json(x: Elem) -> dict:
     return {"i": x.i, "j": x.j, "k": x.k}
 
 
-def elem_from_json(obj: dict) -> Elem:
-    if obj.get("zero"):
-        return ZERO
-    try:
-        return AtomElem(int(obj["i"]), int(obj["j"]), int(obj["k"]))
-    except (KeyError, TypeError) as e:
-        raise ParseError(f"bad element object: {obj!r}") from e
+# --- element kinds ------------------------------------------------------
+
+@dataclass(frozen=True)
+class ElemKind:
+    """One element form: its unchecked product, inverse, idempotent test,
+    validation against a family, and text and JSON forms.
+
+    The pair-with-atom triples and the restricted Brandt triples are two
+    forms of one semigroup; code that serves both takes a kind instead of
+    branching on which form it holds.
+    """
+
+    mul: Callable[[Any, Any], Any]
+    inv: Callable[[Any], Any]
+    idem: Callable[[Any], bool]
+    validate: Callable[[Any, AtomicFamily], None]
+    parse: Callable[[str], Any]
+    fmt: Callable[[Any], str]
+    to_json: Callable[[Any], dict]
+
+
+ATOMS = ElemKind(mul=_mul, inv=invert, idem=is_idempotent, validate=validate_elem,
+                 parse=parse_elem, fmt=format_elem, to_json=elem_to_json)

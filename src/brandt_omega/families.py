@@ -10,9 +10,20 @@ validator and in the set-valued product oracle.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import FamilyError, ParseError
+
+_NAT = re.compile(r"[0-9]+")
+
+
+def nat(text: str) -> bool:
+    """True when text is a natural in ASCII digits.
+
+    str.isdigit() also accepts digits such as "²" that int() rejects.
+    """
+    return _NAT.fullmatch(text) is not None
 
 
 @dataclass(frozen=True)
@@ -131,10 +142,10 @@ def parse_support(text: str) -> SupportSet:
     tail: int | None = None
     for pos, p in enumerate(parts):
         if p.startswith("+"):
-            if pos != len(parts) - 1 or not p[1:].isdigit():
+            if pos != len(parts) - 1 or not nat(p[1:]):
                 raise ParseError(f"bad support: {text!r}")
             tail = int(p[1:])
-        elif p.isdigit():
+        elif nat(p):
             explicit.append(int(p))
         else:
             raise ParseError(f"bad support: {text!r}")

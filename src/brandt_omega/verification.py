@@ -12,20 +12,21 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .brandt import (
-    brandt_invert,
-    brandt_is_idempotent,
-    brandt_multiply,
+    BRANDT,
     restricted_universe,
+    verify_embedding_homomorphism,
+    verify_restricted_closed,
 )
 from .core import (
+    ATOMS,
     AtomElem,
     Elem,
+    ElemKind,
     ZERO,
     _mul,
     census_atoms,
     elements_upto,
-    invert,
-    is_idempotent,
+    idempotent_chain_census,
     maximal_chain_down,
     nat_leq,
     nat_leq_definitional,
@@ -34,9 +35,6 @@ from .errors import InvalidElementError, NotTranslateEquivalentError
 from .families import AtomicFamily, are_translate_equivalent
 from .report import VerificationReport
 
-ATOMS = "atoms"
-BRANDT = "brandt"
-
 
 @dataclass(frozen=True)
 class BoundedUniverse:
@@ -44,7 +42,7 @@ class BoundedUniverse:
 
     family: AtomicFamily
     bound: int
-    kind: str
+    kind: ElemKind
     elements: tuple
 
     @classmethod
@@ -59,26 +57,14 @@ class BoundedUniverse:
         """Closed-form cardinality; must match len(elements) exactly."""
         b = self.bound
         sup = self.family.support
-        if self.kind == ATOMS:
+        if self.kind is ATOMS:
             return 1 + (b + 1) ** 2 * len(sup.upto(b))
         return 1 + sum(
             len(sup.upto(min(r, c))) for r in range(b + 1) for c in range(b + 1)
         )
 
     def product(self) -> Callable:
-        if self.kind == ATOMS:
-            return _mul
-        return brandt_multiply
-
-    def invert(self) -> Callable:
-        if self.kind == ATOMS:
-            return invert
-        return brandt_invert
-
-    def idempotent(self) -> Callable:
-        if self.kind == ATOMS:
-            return is_idempotent
-        return brandt_is_idempotent
+        return self.kind.mul
 
 
 def _memoized(product: Callable) -> Callable:
@@ -120,9 +106,7 @@ def check_associativity(
 
 def check_inverse_axioms(universe: BoundedUniverse) -> VerificationReport:
     """x x^-1 x == x and x^-1 x x^-1 == x^-1 everywhere; idempotents commute."""
-    mul = universe.product()
-    inv = universe.invert()
-    idem = universe.idempotent()
+    mul, inv, idem = universe.kind.mul, universe.kind.inv, universe.kind.idem
     checked = 0
     for x in universe.elements:
         xi = inv(x)
@@ -141,7 +125,7 @@ def check_inverse_axioms(universe: BoundedUniverse) -> VerificationReport:
 
 
 def _require_atoms(universe: BoundedUniverse) -> None:
-    if universe.kind != ATOMS:
+    if universe.kind is not ATOMS:
         raise InvalidElementError("this check runs on the pair-with-atom universe")
 
 
@@ -156,6 +140,17 @@ def check_order_equivalence(universe: BoundedUniverse) -> VerificationReport:
                 return VerificationReport(False, checked, (x, y), note="order criteria disagree")
             checked += 1
     return VerificationReport(True, checked, note=f"bound={universe.bound}")
+
+
+# The five sweeps of `verify`, in report order: name, runner(family,
+# bound), and the element kind of its counterexamples.
+VERIFY_CHECKS = (
+    ("associativity", lambda f, b: check_associativity(BoundedUniverse.atoms(f, b)), ATOMS),
+    ("inverse-axioms", lambda f, b: check_inverse_axioms(BoundedUniverse.atoms(f, b)), ATOMS),
+    ("order-equivalence", lambda f, b: check_order_equivalence(BoundedUniverse.atoms(f, b)), ATOMS),
+    ("embedding-homomorphism", verify_embedding_homomorphism, ATOMS),
+    ("restricted-closure", verify_restricted_closed, BRANDT),
+)
 
 
 def check_chain_structure(universe: BoundedUniverse) -> VerificationReport:
@@ -197,9 +192,9 @@ def check_isomorphism_transport(
 ) -> VerificationReport:
     """Verify the translate-induced map is an injective homomorphism.
 
-    The map subtracts the translate offset from all three entries.  When
-    the offset is positive it is undefined on elements with small
-    coordinates; such pairs are skipped and counted in the note.
+    The map (i, j, k) -> (i, j, k - n) shifts only the atom by the
+    translate offset n.  The product condition j1 + k1 == i2 + k2 and both
+    product cases commute with that shift, so the map is total on f1.
     """
     n = are_translate_equivalent(f1, f2)
     if n is None:
@@ -207,46 +202,25 @@ def check_isomorphism_transport(
             f"supports {f1.support} and {f2.support} are not translates"
         )
 
-    def transport(x: Elem) -> Elem | None:
+    def transport(x: Elem) -> Elem:
         if x is ZERO:
             return ZERO
-        if x.i - n < 0 or x.j - n < 0:
-            return None
-        return AtomElem(x.i - n, x.j - n, x.k - n)
+        return AtomElem(x.i, x.j, x.k - n)
 
     univ = elements_upto(f1, bound)
     images = {}
     for x in univ:
         tx = transport(x)
-        if tx is None:
-            continue
         if tx in images:
             return VerificationReport(False, 0, (images[tx], x), note="transport not injective")
         images[tx] = x
     checked = 0
-    skipped = 0
     for x in univ:
         for y in univ:
-            tx, ty = transport(x), transport(y)
-            if tx is None or ty is None:
-                skipped += 1
-                continue
-            txy = transport(_mul(x, y))
-            if _mul(tx, ty) != txy:
+            if _mul(transport(x), transport(y)) != transport(_mul(x, y)):
                 return VerificationReport(False, checked, (x, y), note="transport not a homomorphism")
             checked += 1
-    return VerificationReport(
-        True, checked, note=f"offset n={n}, skipped {skipped} pairs outside the map's domain"
-    )
-
-
-def _windowed_census(f: AtomicFamily, width: int, atoms_bound: int) -> dict[int, int]:
-    # per-idempotent tally over a coordinate window of the given width
-    counts: dict[int, int] = {}
-    for k in census_atoms(f, atoms_bound):
-        length = f.support.index_of(k) + 2
-        counts[length] = counts.get(length, 0) + width
-    return counts
+    return VerificationReport(True, checked, note=f"offset n={n}")
 
 
 def maximal_chain_census(f: AtomicFamily, bound: int) -> dict[int, int]:
@@ -270,18 +244,17 @@ def check_chain_census_invariance(
 ) -> VerificationReport:
     """Censuses agree across translates and separate non-translates.
 
-    Translate-equivalent supports: the idempotent tallies over windows
-    [0, bound] and [offset, bound+offset] coincide.  Otherwise the maximal
+    Translate-equivalent supports: the idempotent tallies at the same
+    bound coincide.  Otherwise the maximal
     chain censuses at equal bounds must diverge at some length (guaranteed
     for large enough bound when both supports are finite explicit).
     """
     n = are_translate_equivalent(f1, f2)
     if n is not None:
-        # the induced map shifts coordinates by n, so the f1 window [0, bound]
-        # corresponds to an f2 window of the same width starting at -n (or the
-        # mirror image when n > 0); widths and atom enumerations match
-        c1 = _windowed_census(f1, bound + 1, bound)
-        c2 = _windowed_census(f2, bound + 1, bound)
+        # the induced map (i, j, k) -> (i, j, k - n) keeps coordinates and
+        # carries the atom enumeration of f1 onto that of f2
+        c1 = idempotent_chain_census(f1, bound)
+        c2 = idempotent_chain_census(f2, bound)
         if c1 != c2:
             length = next(
                 L for L in sorted(set(c1) | set(c2)) if c1.get(L, 0) != c2.get(L, 0)

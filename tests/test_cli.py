@@ -188,12 +188,36 @@ class TestVerify:
         assert all(r["passed"] for r in reports)
 
 
+class TestBoundary:
+    @pytest.mark.parametrize("argv, bound_env", [
+        (["mul", "--family", "0", "(²,0,0)", "0"], None),
+        (["iso", "--family", "²", "--other", "0"], None),
+        (["census", "--family", "0,1,3"], "³"),
+    ])
+    def test_non_ascii_digits_exit_2(self, capsys, monkeypatch, argv, bound_env):
+        if bound_env is not None:
+            monkeypatch.setenv("BRANDT_OMEGA_BOUND", bound_env)
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--family", "0,1,3", "--bound", "-1"],
+        ["topo", "prop49", "--family", "0,1,3", "--nbhd", "t1:1", "--m", "(5;0;5)", "--bound", "-3"],
+        ["fiber", "--family", "0", "-1", "2"],
+    ])
+    def test_negative_bound_or_coordinate_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid natural value" in capsys.readouterr().err
+
+
 class TestParsers:
     def test_parse_nbhd(self):
         assert parse_nbhd("ac:(2,5)(3,4)") == AcNbhd(frozenset({(2, 5), (3, 4)}))
         assert parse_nbhd("ac:") == AcNbhd(frozenset())
         assert parse_nbhd("t1:7") == Tau1Nbhd(7)
-        for bad in ["ac:(2,5", "t1:", "x:3", "ac:(2;5)"]:
+        for bad in ["ac:(2,5", "t1:", "x:3", "ac:(2;5)", "t1:²", "ac:(²,5)"]:
             with pytest.raises(ParseError):
                 parse_nbhd(bad)
 

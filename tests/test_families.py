@@ -26,7 +26,7 @@ class TestSupportSet:
         for text in ["0,1,3", "0,2,+7", "+4", "5"]:
             assert parse_support(text).to_text() == text
 
-    @pytest.mark.parametrize("bad", ["", "abc", "+", "3,+2", "-1", "1,,2", "+3,1"])
+    @pytest.mark.parametrize("bad", ["", "abc", "+", "3,+2", "-1", "1,,2", "+3,1", "²", "0,+³"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ParseError):
             parse_support(bad)

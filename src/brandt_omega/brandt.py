@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import AtomElem, Elem, ElemKind, ZERO, Zero, elements_upto, multiply, validate_elem
-from .errors import NotInImageError, ParseError
+from .errors import InvalidElementError, NotInImageError, ParseError
 from .families import AtomicFamily, nat
 from .report import VerificationReport
 
@@ -83,6 +83,8 @@ def embed_inverse(e: BrElem, f: AtomicFamily) -> Elem:
 
 def restricted_universe(f: AtomicFamily, bound: int) -> list[BrElem]:
     """The zero plus every restricted element with row, col <= bound, sorted."""
+    if bound < 0:
+        raise InvalidElementError("bound must be a natural")
     out: list[BrElem] = [ZERO]
     for row in range(bound + 1):
         triples = []

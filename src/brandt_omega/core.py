@@ -142,12 +142,26 @@ def nat_leq(x: Elem, y: Elem) -> bool:
     return p >= 0 and x.i - y.i == p and x.j - y.j == p
 
 
+def _witness_products(y: AtomElem, f: AtomicFamily, mmax: int):
+    """Yield y*(m, m, k) for every m <= mmax and every atom k <= j_y + k_y.
+
+    The brute-force search of the definitional order.  A product that is
+    nonzero needs j_y + k_y == m + k, so larger atoms only give the zero.
+    If it is nonzero and j_y <= m it is (i_y - j_y + m, m, k), whose second
+    coordinate is m; otherwise it is y itself, with m < j_y.  So every
+    nonzero product x has its witness at m <= max(j_x, j_y), and any mmax
+    at least that large yields the same nonzero products.
+    """
+    for m in range(mmax + 1):
+        for k in f.support.upto(y.j + y.k):
+            yield _mul(y, AtomElem(m, m, k))
+
+
 def nat_leq_definitional(x: Elem, y: Elem, f: AtomicFamily) -> bool:
     """Definitional order: x below y iff y*e == x for some idempotent e.
 
-    Brute-force oracle.  Any nonzero witness (m, m, k') is forced to have
-    m == j_x <= max coordinate and k' == j_y + k_y - m, so the search space
-    below is provably complete.
+    Brute-force oracle over the witnesses of `_witness_products`, which are
+    complete for m up to the largest coordinate of x and y.
     """
     validate_elem(x, f)
     validate_elem(y, f)
@@ -155,12 +169,7 @@ def nat_leq_definitional(x: Elem, y: Elem, f: AtomicFamily) -> bool:
         return True  # e = ZERO
     if y is ZERO:
         return False
-    mmax = max(x.i, x.j, y.i, y.j)
-    for m in range(mmax + 1):
-        for k in f.support.upto(y.j + y.k):
-            if _mul(y, AtomElem(m, m, k)) == x:
-                return True
-    return False
+    return x in _witness_products(y, f, max(x.i, x.j, y.i, y.j))
 
 
 def immediate_predecessors(x: Elem, f: AtomicFamily) -> list[Elem]:
@@ -219,6 +228,8 @@ def idempotent_chain_census(f: AtomicFamily, bound: int) -> dict[int, int]:
 
 def elements_upto(f: AtomicFamily, bound: int) -> list[Elem]:
     """The zero plus every (i, j, k) with i, j <= bound and atom k <= bound."""
+    if bound < 0:
+        raise InvalidElementError("bound must be a natural")
     out: list[Elem] = [ZERO]
     ks = f.support.upto(bound)
     for i in range(bound + 1):

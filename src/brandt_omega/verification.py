@@ -24,12 +24,12 @@ from .core import (
     ElemKind,
     ZERO,
     _mul,
+    _witness_products,
     census_atoms,
     elements_upto,
-    idempotent_chain_census,
     maximal_chain_down,
     nat_leq,
-    nat_leq_definitional,
+    validate_elem,
 )
 from .errors import InvalidElementError, NotTranslateEquivalentError
 from .families import AtomicFamily, are_translate_equivalent
@@ -67,20 +67,6 @@ class BoundedUniverse:
         return self.kind.mul
 
 
-def _memoized(product: Callable) -> Callable:
-    table: dict = {}
-
-    def mul(a, b):
-        key = (a, b)
-        r = table.get(key)
-        if r is None:
-            r = product(a, b)
-            table[key] = r
-        return r
-
-    return mul
-
-
 def check_associativity(
     universe: BoundedUniverse, product: Callable | None = None
 ) -> VerificationReport:
@@ -88,19 +74,46 @@ def check_associativity(
 
     An alternative product can be injected to sanity-check the harness
     itself against a deliberately corrupted operation.
+
+    Every element met is interned as an int id, window elements first at
+    their positions.  With U the window together with its pairwise
+    products, rows[a] holds the ids of a*y for y in U and left[x] the ids
+    of x*c for c in the window, so (a*b)*c for all c is the list left[a*b]
+    and a*(b*c) is rows[a] indexed by left[b].  Each (a, b) is then one list comparison;
+    on a mismatch the first differing c gives the same lexicographically
+    first counterexample and `checked` count as a triple-by-triple sweep.
+    The products computed are exactly the pairs such a sweep asks for when
+    it passes.
     """
-    mul = _memoized(product if product is not None else universe.product())
+    mul = product if product is not None else universe.product()
     elems = universe.elements
+    n = len(elems)
+    ids = {x: p for p, x in enumerate(elems)}
+    values = list(elems)
+
+    def intern(x) -> int:
+        i = ids.get(x)
+        if i is None:
+            i = ids[x] = len(values)
+            values.append(x)
+        return i
+
+    square = [[intern(mul(a, c)) for c in elems] for a in elems]
+    outside = values[n:]  # U minus the window
+    left = square + [[intern(mul(x, c)) for c in elems] for x in outside]
+    rows = [row + [intern(mul(a, y)) for y in outside] for a, row in zip(elems, square)]
     checked = 0
-    for a in elems:
-        for b in elems:
-            ab = mul(a, b)
-            for c in elems:
-                if mul(ab, c) != mul(a, mul(b, c)):
-                    return VerificationReport(
-                        False, checked, (a, b, c), note="associativity failed"
-                    )
-                checked += 1
+    for a, row, ab_row in zip(elems, rows, square):
+        at = row.__getitem__
+        for b, ab, b_row in zip(elems, ab_row, square):
+            lhs = left[ab]
+            rhs = list(map(at, b_row))
+            if lhs != rhs:
+                c = next(c for c in range(n) if lhs[c] != rhs[c])
+                return VerificationReport(
+                    False, checked + c, (a, b, elems[c]), note="associativity failed"
+                )
+            checked += n
     return VerificationReport(True, checked, note=f"{len(elems)} elements, bound={universe.bound}")
 
 
@@ -130,13 +143,27 @@ def _require_atoms(universe: BoundedUniverse) -> None:
 
 
 def check_order_equivalence(universe: BoundedUniverse) -> VerificationReport:
-    """The coordinate criterion agrees with the idempotent-witness order."""
+    """The coordinate criterion agrees with the idempotent-witness order.
+
+    The witness order is read off one set per y: the zero (the witness
+    e = ZERO) and every y*(m, m, k) with m up to the largest second
+    coordinate in the window.  By `_witness_products` a nonzero x = y*e has
+    its witness at m <= max(j_x, j_y), within that range, so x is in the
+    set of y exactly when nat_leq_definitional(x, y) holds.
+    """
     _require_atoms(universe)
     f = universe.family
+    elems = universe.elements
+    for x in elems:
+        validate_elem(x, f)
+    top = max((x.j for x in elems if x is not ZERO), default=0)
+    below = [
+        {ZERO} if y is ZERO else {ZERO, *_witness_products(y, f, top)} for y in elems
+    ]
     checked = 0
-    for x in universe.elements:
-        for y in universe.elements:
-            if nat_leq(x, y) != nat_leq_definitional(x, y, f):
+    for x in elems:
+        for y, witnessed in zip(elems, below):
+            if nat_leq(x, y) != (x in witnessed):
                 return VerificationReport(False, checked, (x, y), note="order criteria disagree")
             checked += 1
     return VerificationReport(True, checked, note=f"bound={universe.bound}")
@@ -242,29 +269,35 @@ def maximal_chain_census(f: AtomicFamily, bound: int) -> dict[int, int]:
 def check_chain_census_invariance(
     f1: AtomicFamily, f2: AtomicFamily, bound: int
 ) -> VerificationReport:
-    """Censuses agree across translates and separate non-translates.
+    """Chain lengths survive the translate map; censuses separate non-translates.
 
-    Translate-equivalent supports: the idempotent tallies at the same
-    bound coincide.  Otherwise the maximal
-    chain censuses at equal bounds must diverge at some length (guaranteed
-    for large enough bound when both supports are finite explicit).
+    Translate-equivalent supports: every idempotent (i, i, {k}) of the
+    census of f1 at this bound is carried by (i, i, k) -> (i, i, k - n) to
+    an idempotent of f2 whose maximal chain has the same length.  A
+    transported atom outside the support of f2 is a mismatch too.
+    Otherwise the maximal chain censuses at equal bounds must diverge at
+    some length (guaranteed for large enough bound when both supports are
+    finite explicit).
     """
+    if bound < 0:
+        raise InvalidElementError("bound must be a natural")
     n = are_translate_equivalent(f1, f2)
     if n is not None:
-        # the induced map (i, j, k) -> (i, j, k - n) keeps coordinates and
-        # carries the atom enumeration of f1 onto that of f2
-        c1 = idempotent_chain_census(f1, bound)
-        c2 = idempotent_chain_census(f2, bound)
-        if c1 != c2:
-            length = next(
-                L for L in sorted(set(c1) | set(c2)) if c1.get(L, 0) != c2.get(L, 0)
-            )
-            return VerificationReport(
-                False, len(c1), (length, c1.get(length, 0), c2.get(length, 0)),
-                note="windowed censuses disagree for translate-equivalent supports",
-            )
+        checked = 0
+        for k in census_atoms(f1, bound):
+            for i in range(bound + 1):
+                x, tx = AtomElem(i, i, k), AtomElem(i, i, k - n)
+                if not (
+                    f2.contains_atom(tx.k)
+                    and len(maximal_chain_down(x, f1)) == len(maximal_chain_down(tx, f2))
+                ):
+                    return VerificationReport(
+                        False, checked, (x, tx),
+                        note="chain lengths of transported idempotents disagree",
+                    )
+                checked += 1
         return VerificationReport(
-            True, len(c1), note=f"translate offset n={n}; shifted-window censuses agree"
+            True, checked, note=f"translate offset n={n}; transported chain lengths agree"
         )
     m1 = maximal_chain_census(f1, bound)
     m2 = maximal_chain_census(f2, bound)

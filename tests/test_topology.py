@@ -159,6 +159,11 @@ class TestProp49:
         with pytest.raises(InvalidElementError):
             check_prop49_condition(Tau1Nbhd(1), [BrandtElem(1, 0, 2)], fam013, 5)
 
+    def test_rejects_negative_bound(self, fam013):
+        # a negative bound sweeps nothing, so it would pass vacuously
+        with pytest.raises(InvalidElementError, match="bound must be a natural"):
+            check_prop49_condition(Tau1Nbhd(1), [BrandtElem(5, 0, 5)], fam013, -3)
+
 
 class TestZeroWitness:
     def test_examples(self):

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
-from brandt_omega.core import ATOMS, AtomElem, ZERO, _mul, elements_upto
+from brandt_omega import verification
+from brandt_omega.core import ATOMS, AtomElem, ZERO, _mul, elements_upto, nat_leq_definitional
 from brandt_omega.errors import InvalidElementError, NotTranslateEquivalentError
 from brandt_omega.families import AtomicFamily, SupportSet
 from brandt_omega.report import VerificationReport
@@ -23,6 +26,72 @@ FAMS = [
 ]
 
 
+def naive_associativity(universe, product):
+    """The memoised triple-by-triple sweep: (passed, checked, counterexample)."""
+    table = {}
+
+    def mul(a, b):
+        key = (a, b)
+        r = table.get(key)
+        if r is None:
+            r = table[key] = product(a, b)
+        return r
+
+    elems = universe.elements
+    checked = 0
+    for a in elems:
+        for b in elems:
+            ab = mul(a, b)
+            for c in elems:
+                if mul(ab, c) != mul(a, mul(b, c)):
+                    return False, checked, (a, b, c)
+                checked += 1
+    return True, checked, None
+
+
+def naive_order_equivalence(universe):
+    """The pairwise sweep against nat_leq_definitional: (passed, checked, counterexample)."""
+    elems = universe.elements
+    checked = 0
+    for x in elems:
+        for y in elems:
+            if verification.nat_leq(x, y) != nat_leq_definitional(x, y, universe.family):
+                return False, checked, (x, y)
+            checked += 1
+    return True, checked, None
+
+
+def outcome(report):
+    return report.passed, report.checked, report.counterexample
+
+
+def single_pair_corruption(universe, rng):
+    """The universe's product with one pair (p, q) sent to a wrong value.
+
+    p is a window element or a product of two, so the sweep asks for the
+    pair; the wrong value is another window element or a product of two,
+    which may lie outside the window.
+    """
+    mul = universe.product()
+    elems = universe.elements
+
+    def pick():
+        return rng.choice(elems) if rng.random() < 0.5 else mul(rng.choice(elems), rng.choice(elems))
+
+    p, q = pick(), rng.choice(elems)
+    if rng.random() < 0.5:
+        p, q = q, p
+    good = mul(p, q)
+    wrong = pick()
+    while wrong == good:
+        wrong = rng.choice(elems)
+
+    def corrupt(a, b):
+        return wrong if a == p and b == q else mul(a, b)
+
+    return corrupt
+
+
 class TestBoundedUniverse:
     @pytest.mark.parametrize("fam", FAMS, ids=lambda f: str(f.support))
     @pytest.mark.parametrize("bound", [0, 2, 4])
@@ -31,6 +100,13 @@ class TestBoundedUniverse:
             u = ctor(fam, bound)
             assert len(u.elements) == u.expected_size()
             assert u.elements[0] is ZERO
+
+    @pytest.mark.parametrize("ctor", [BoundedUniverse.atoms, BoundedUniverse.brandt],
+                             ids=["atoms", "brandt"])
+    def test_rejects_negative_bound(self, fam013, ctor):
+        # at bound -1 only the zero would be left, and every sweep would pass on it
+        with pytest.raises(InvalidElementError, match="bound must be a natural"):
+            check_associativity(ctor(fam013, -1))
 
 
 class TestAssociativity:
@@ -55,19 +131,27 @@ class TestAssociativity:
         assert again.counterexample == r.counterexample
 
         # lexicographic-first: nothing earlier in the sweep order fails
-        elems = u.elements
-        first = None
-        for a in elems:
-            for b in elems:
-                for c in elems:
-                    if corrupt(corrupt(a, b), c) != corrupt(a, corrupt(b, c)):
-                        first = (a, b, c)
-                        break
-                if first:
-                    break
-            if first:
-                break
-        assert r.counterexample == first
+        assert outcome(r) == naive_associativity(u, corrupt)
+        assert r.checked == 767
+
+    DIFFERENTIAL = [
+        ("atoms", (0, 1, 3), None, 3),
+        ("atoms", (0,), 4, 3),
+        ("atoms", (2, 5), None, 4),
+        ("brandt", (0, 1, 3), None, 3),
+    ]
+
+    @pytest.mark.parametrize("kind, explicit, tail, bound", DIFFERENTIAL,
+                             ids=["013@3", "0,+4@3", "25@4", "brandt013@3"])
+    def test_matches_naive_sweep(self, kind, explicit, tail, bound):
+        fam = AtomicFamily(SupportSet(explicit, tail))
+        u = getattr(BoundedUniverse, kind)(fam, bound)
+        assert outcome(check_associativity(u)) == naive_associativity(u, u.product())
+        rng = random.Random(f"{kind}{explicit}{tail}{bound}")
+        for _ in range(8):
+            corrupt = single_pair_corruption(u, rng)
+            expected = naive_associativity(u, corrupt)
+            assert outcome(check_associativity(u, product=corrupt)) == expected
 
 
 class TestInverseAxioms:
@@ -90,6 +174,27 @@ class TestOrderEquivalence:
     def test_needs_atoms_universe(self, fam013):
         with pytest.raises(InvalidElementError):
             check_order_equivalence(BoundedUniverse.brandt(fam013, 2))
+
+    @pytest.mark.parametrize("explicit, tail", [((0, 1, 3), None), ((0,), 4)], ids=["013", "0,+4"])
+    def test_matches_pairwise_sweep(self, explicit, tail):
+        u = BoundedUniverse.atoms(AtomicFamily(SupportSet(explicit, tail)), 4)
+        r = check_order_equivalence(u)
+        assert r.passed and outcome(r) == naive_order_equivalence(u)
+
+    def test_wrong_criterion_caught(self, fam013, monkeypatch):
+        def no_j_check(x, y):
+            # drops the condition on the second coordinate
+            if x is ZERO or y is ZERO:
+                return x is ZERO
+            p = y.k - x.k
+            return p >= 0 and x.i - y.i == p
+
+        monkeypatch.setattr(verification, "nat_leq", no_j_check)
+        u = BoundedUniverse.atoms(fam013, 4)
+        r = check_order_equivalence(u)
+        assert not r.passed and r.note == "order criteria disagree"
+        assert outcome(r) == naive_order_equivalence(u)
+        assert r.counterexample == (AtomElem(0, 0, 0), AtomElem(0, 1, 0))
 
 
 class TestChainStructure:
@@ -130,6 +235,47 @@ class TestCensusInvariance:
         f2 = AtomicFamily(SupportSet((2, 3, 5)))
         r = check_chain_census_invariance(f1, f2, 6)
         assert r.passed and "agree" in r.note
+
+    def test_counts_transported_idempotents(self):
+        f1 = AtomicFamily(SupportSet((0, 1, 3)))
+        f2 = AtomicFamily(SupportSet((2, 3, 5)))
+        r = check_chain_census_invariance(f1, f2, 6)
+        assert r.checked == 3 * 7  # three atoms, i = 0..6
+        tail1 = AtomicFamily(SupportSet((0,), 4))
+        tail2 = AtomicFamily(SupportSet((1,), 5))
+        r = check_chain_census_invariance(tail1, tail2, 6)
+        assert r.passed and r.checked == 7 * 7  # the first seven atoms of an infinite support
+
+    def test_wrong_offset_caught(self, monkeypatch):
+        f1 = AtomicFamily(SupportSet((0, 1, 3)))
+        f2 = AtomicFamily(SupportSet((2, 3, 5)))
+        monkeypatch.setattr(verification, "are_translate_equivalent", lambda a, b: -3)
+        r = check_chain_census_invariance(f1, f2, 6)
+        # (0,0,0) goes to (0,0,3), which tops a chain one link longer in f2
+        assert not r.passed and r.checked == 0
+        assert r.counterexample == (AtomElem(0, 0, 0), AtomElem(0, 0, 3))
+        monkeypatch.setattr(verification, "are_translate_equivalent", lambda a, b: -1)
+        r = check_chain_census_invariance(f1, f2, 6)
+        # 1 is not an atom of f2
+        assert not r.passed and r.counterexample == (AtomElem(0, 0, 0), AtomElem(0, 0, 1))
+
+    def test_wrong_chain_length_caught(self, monkeypatch):
+        f1 = AtomicFamily(SupportSet((0, 1, 3)))
+        f2 = AtomicFamily(SupportSet((2, 3, 5)))
+        real = verification.maximal_chain_down
+
+        def short_in_f2(x, f):
+            chain = real(x, f)
+            return chain[1:] if f is f2 and x.k == 5 and x.i == 2 else chain
+
+        monkeypatch.setattr(verification, "maximal_chain_down", short_in_f2)
+        r = check_chain_census_invariance(f1, f2, 6)
+        assert not r.passed and r.checked == 2 * 7 + 2
+        assert r.counterexample == (AtomElem(2, 2, 3), AtomElem(2, 2, 5))
+
+    def test_rejects_negative_bound(self, fam013):
+        with pytest.raises(InvalidElementError, match="bound must be a natural"):
+            check_chain_census_invariance(fam013, fam013, -1)
 
     def test_identity_trivial(self, fam0):
         assert check_chain_census_invariance(fam0, fam0, 5).passed

@@ -6,9 +6,9 @@ Usage: python scripts/chain_gallery.py [support ...]
 
 import sys
 
+from brandt_omega.brandt import fiber
 from brandt_omega.core import AtomElem, format_elem, idempotent_chain_census, maximal_chain_down
 from brandt_omega.families import AtomicFamily, parse_support
-from brandt_omega.topology import isolation_report
 from brandt_omega.verification import maximal_chain_census
 
 
@@ -23,10 +23,9 @@ def main():
             print(f"  chain from (0,0,{k}): " + " > ".join(format_elem(e) for e in chain))
         print(f"  idempotent census (bound 6): {idempotent_chain_census(fam, 6)}")
         print(f"  maximal-chain census (bound 6): {maximal_chain_census(fam, 6)}")
-        sizes = isolation_report(fam, 4)
         rows = []
         for r in range(5):
-            rows.append(" ".join(str(sizes[(r, c)]) for c in range(5)))
+            rows.append(" ".join(str(len(fiber(r, c, fam))) for c in range(5)))
         print("  fiber sizes (rows 0..4 x cols 0..4):")
         for line in rows:
             print(f"    {line}")

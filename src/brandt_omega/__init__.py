@@ -74,10 +74,7 @@ from .topology import (
     check_shift_continuity_ac,
     extended_multiply,
     find_zero_witness,
-    isolation_report,
-    mseq_from_json,
     mseq_nbhd_contains,
-    mseq_to_json,
     phi,
     psi,
     tau1_contains,

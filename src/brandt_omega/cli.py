@@ -30,9 +30,10 @@ def _default_bound() -> int:
     raw = os.environ.get("BRANDT_OMEGA_BOUND")
     if raw is None:
         return DEFAULT_BOUND
-    if not nat(raw):
+    bound = nat(raw)
+    if bound is None:
         raise ParseError(f"BRANDT_OMEGA_BOUND must be a natural, got {raw!r}")
-    return int(raw)
+    return bound
 
 
 def _bound(args) -> int:
@@ -41,33 +42,29 @@ def _bound(args) -> int:
 
 def _natural(text: str) -> int:
     # argparse type for bounds and coordinates: ASCII digits only
-    if not nat(text):
+    n = nat(text)
+    if n is None:
         raise argparse.ArgumentTypeError(f"invalid natural value: {text!r}")
-    return int(text)
-
-
-_AC_PAIR = re.compile(r"\(([0-9]+),([0-9]+)\)")
+    return n
 
 
 def parse_nbhd(text: str):
     """`ac:(i1,j1)(i2,j2)...` or `t1:n`."""
     s = "".join(text.split())
-    if s.startswith("ac:"):
-        rest = s[3:]
-        if not re.fullmatch(r"(?:\([0-9]+,[0-9]+\))*", rest):
-            raise ParseError(f"bad neighborhood: {text!r}")
-        pairs = frozenset((int(a), int(b)) for a, b in _AC_PAIR.findall(rest))
-        return AcNbhd(pairs)
-    if s.startswith("t1:") and nat(s[3:]):
-        return Tau1Nbhd(int(s[3:]))
+    if s.startswith("ac:") and re.fullmatch(r"(?:\([0-9]+,[0-9]+\))*", s[3:]):
+        coords = [nat(d) for d in re.findall(r"[0-9]+", s[3:])]
+        if None not in coords:
+            return AcNbhd(frozenset(zip(coords[::2], coords[1::2])))
+    elif s.startswith("t1:") and (n := nat(s[3:])) is not None:
+        return Tau1Nbhd(n)
     raise ParseError(f"bad neighborhood: {text!r}")
 
 
 def parse_brandt_list(text: str) -> list:
-    s = "".join(text.split())
-    if not re.fullmatch(r"(?:O|\([0-9]+;[0-9]+;[0-9]+\))(?:,(?:O|\([0-9]+;[0-9]+;[0-9]+\)))*", s):
-        raise ParseError(f"bad element list: {text!r}")
-    return [BRANDT.parse(m) for m in re.findall(r"O|\([0-9]+;[0-9]+;[0-9]+\)", s)]
+    try:
+        return [BRANDT.parse(m) for m in "".join(text.split()).split(",")]
+    except ParseError:
+        raise ParseError(f"bad element list: {text!r}") from None
 
 
 def _emit(args, obj, *lines: str) -> None:
@@ -121,14 +118,11 @@ def _cmd_chain(args, f) -> int:
 def _census_dot(f, bound: int) -> str:
     atoms = core.census_atoms(f, bound)
     nodes = [core.ZERO] + [core.AtomElem(i, i, k) for i in range(bound + 1) for k in atoms]
-    nodes.sort(key=core.sort_key)
     lines = ["digraph idempotent_order {", "  rankdir=BT;"]
     for e in nodes:
         lines.append(f'  "{ATOMS.fmt(e)}";')
     node_set = set(nodes)
-    for e in nodes:
-        if e is core.ZERO:
-            continue
+    for e in nodes[1:]:
         (pred,) = core.immediate_predecessors(e, f)
         if pred in node_set:
             lines.append(f'  "{ATOMS.fmt(pred)}" -> "{ATOMS.fmt(e)}";')

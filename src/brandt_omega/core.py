@@ -208,6 +208,8 @@ def maximal_chain_down(x: Elem, f: AtomicFamily) -> list[Elem]:
 def census_atoms(f: AtomicFamily, bound: int) -> list[int]:
     """Atoms entering a census at this bound: the whole support when it is
     finite, the first bound+1 elements otherwise."""
+    if bound < 0:
+        raise InvalidElementError("bound must be a natural")
     sup = f.support
     if sup.is_finite:
         return list(sup.explicit)
@@ -216,14 +218,7 @@ def census_atoms(f: AtomicFamily, bound: int) -> list[int]:
 
 def idempotent_chain_census(f: AtomicFamily, bound: int) -> dict[int, int]:
     """Tally chain lengths index(k)+2 over idempotents (i, i, {k}), i <= bound."""
-    if bound < 0:
-        raise InvalidElementError("bound must be a natural")
-    counts: dict[int, int] = {}
-    for k in census_atoms(f, bound):
-        length = f.support.index_of(k) + 2
-        for _ in range(bound + 1):
-            counts[length] = counts.get(length, 0) + 1
-    return dict(sorted(counts.items()))
+    return {f.support.index_of(k) + 2: bound + 1 for k in census_atoms(f, bound)}
 
 
 def elements_upto(f: AtomicFamily, bound: int) -> list[Elem]:
@@ -239,12 +234,6 @@ def elements_upto(f: AtomicFamily, bound: int) -> list[Elem]:
     return out
 
 
-def sort_key(x: Elem) -> tuple[int, int, int, int]:
-    if x is ZERO:
-        return (0, 0, 0, 0)
-    return (1, x.i, x.j, x.k)
-
-
 # --- text and JSON forms ------------------------------------------------
 
 def format_elem(x: Elem) -> str:
@@ -258,9 +247,9 @@ def parse_elem(text: str) -> Elem:
     if s == "0":
         return ZERO
     if s.startswith("(") and s.endswith(")"):
-        parts = s[1:-1].split(",")
-        if len(parts) == 3 and all(nat(p) for p in parts):
-            return AtomElem(*(int(p) for p in parts))
+        parts = [nat(p) for p in s[1:-1].split(",")]
+        if len(parts) == 3 and None not in parts:
+            return AtomElem(*parts)
     raise ParseError(f"bad element: {text!r}")
 
 

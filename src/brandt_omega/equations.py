@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from .brandt import (
     BrandtElem,
     BrElem,
+    brandt_invert,
     brandt_multiply,
     fiber,
     restricted_universe,
@@ -56,17 +57,16 @@ def solve_left(A: BrElem, B: BrElem, f: AtomicFamily) -> SolutionSet:
 
 
 def solve_right(A: BrElem, B: BrElem, f: AtomicFamily) -> SolutionSet:
-    """All X with X*A = B; mirror image of solve_left."""
+    """All X with X*A = B: X*A = B iff A^-1*X^-1 = B^-1, so these are the
+    inverses of the solutions of solve_left, in the same order by value."""
     validate_restricted(A, f)
     validate_restricted(B, f)
     if B is ZERO:
         if A is ZERO:
             return InfiniteZeroCase("every X solves X*O = O")
         return InfiniteZeroCase(f"X = O or col(X) != {A.row}")
-    if A is ZERO or A.col != B.col or B.val > A.val:
-        return FiniteSolutions(())
-    sols = tuple(X for X in fiber(B.row, A.row, f) if brandt_multiply(X, A) == B)
-    return FiniteSolutions(sols)
+    mirrored = solve_left(brandt_invert(A), brandt_invert(B), f)
+    return FiniteSolutions(tuple(map(brandt_invert, mirrored.solutions)))
 
 
 def brute_force_solutions(
@@ -85,10 +85,8 @@ def brute_force_solutions(
     validate_restricted(A, f)
     validate_restricted(B, f)
     out = []
-    for X in restricted_universe(f, bound):
-        if X is ZERO:
-            continue
+    for X in restricted_universe(f, bound):  # sorted; the zero never solves
         prod = brandt_multiply(A, X) if side == "left" else brandt_multiply(X, A)
         if prod == B:
             out.append(X)
-    return sorted(out)
+    return out

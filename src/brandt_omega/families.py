@@ -18,12 +18,15 @@ from .errors import FamilyError, ParseError
 _NAT = re.compile(r"[0-9]+")
 
 
-def nat(text: str) -> bool:
-    """True when text is a natural in ASCII digits.
-
-    str.isdigit() also accepts digits such as "²" that int() rejects.
-    """
-    return _NAT.fullmatch(text) is not None
+def nat(text: str) -> int | None:
+    """The natural written in ASCII digits, or None: str.isdigit() accepts
+    digits such as "²", and int() rejects more than sys.get_int_max_str_digits()."""
+    if _NAT.fullmatch(text) is None:
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -141,14 +144,14 @@ def parse_support(text: str) -> SupportSet:
     explicit: list[int] = []
     tail: int | None = None
     for pos, p in enumerate(parts):
-        if p.startswith("+"):
-            if pos != len(parts) - 1 or not nat(p[1:]):
-                raise ParseError(f"bad support: {text!r}")
-            tail = int(p[1:])
-        elif nat(p):
-            explicit.append(int(p))
-        else:
+        is_tail = p.startswith("+") and pos == len(parts) - 1
+        n = nat(p[1:] if is_tail else p)
+        if n is None:
             raise ParseError(f"bad support: {text!r}")
+        if is_tail:
+            tail = n
+        else:
+            explicit.append(n)
     try:
         return SupportSet(tuple(explicit), tail)
     except FamilyError as e:

@@ -33,3 +33,23 @@ class VerificationReport:
             "counterexample": ce,
             "note": self.note,
         }
+
+
+def check_injective_homomorphism(
+    elements, phi: Callable, src_mul: Callable, dst_mul: Callable, name: str, note: str
+) -> VerificationReport:
+    """phi is injective on elements, then phi(x*y) == phi(x)*phi(y) for all
+    pairs in lexicographic order; a collision is reported with checked=0."""
+    images = [phi(x) for x in elements]
+    seen = {}
+    for x, fx in zip(elements, images):
+        if fx in seen:
+            return VerificationReport(False, 0, (seen[fx], x), note=f"{name} not injective")
+        seen[fx] = x
+    checked = 0
+    for x, fx in zip(elements, images):
+        for y, fy in zip(elements, images):
+            if phi(src_mul(x, y)) != dst_mul(fx, fy):
+                return VerificationReport(False, checked, (x, y), note=f"{name} not a homomorphism")
+            checked += 1
+    return VerificationReport(True, checked, note=note)

@@ -9,7 +9,6 @@ that is the honest computable surrogate for the cofinite sets involved.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .brandt import (
@@ -23,7 +22,7 @@ from .brandt import (
     validate_restricted,
 )
 from .core import ZERO, Zero
-from .errors import InvalidElementError, ParseError
+from .errors import InvalidElementError
 from .families import AtomicFamily
 from .report import VerificationReport
 
@@ -281,29 +280,3 @@ def mseq_nbhd_contains(seq: MSeq, n: int, e: ExtendedElem) -> bool:
     if isinstance(e, Adjoined):
         return True
     return e in seq.entries[n - 1 :]
-
-
-def mseq_to_json(seq: MSeq) -> str:
-    return json.dumps([{"row": e.row, "val": e.val, "col": e.col} for e in seq.entries])
-
-
-def mseq_from_json(text: str) -> MSeq:
-    try:
-        data = json.loads(text)
-        entries = tuple(BrandtElem(int(d["row"]), int(d["val"]), int(d["col"])) for d in data)
-    except (json.JSONDecodeError, KeyError, TypeError) as e:
-        raise ParseError(f"bad sequence JSON: {text!r}") from e
-    return MSeq(entries)
-
-
-def isolation_report(f: AtomicFamily, bound: int) -> dict[tuple[int, int], int]:
-    """Fiber cardinalities for all row, col <= bound; all finite.
-
-    Finiteness of every fiber is what isolates the nonzero points in any
-    shift-continuous T1 topology.
-    """
-    return {
-        (r, c): len(fiber(r, c, f))
-        for r in range(bound + 1)
-        for c in range(bound + 1)
-    }

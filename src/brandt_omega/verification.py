@@ -33,7 +33,7 @@ from .core import (
 )
 from .errors import InvalidElementError, NotTranslateEquivalentError
 from .families import AtomicFamily, are_translate_equivalent
-from .report import VerificationReport
+from .report import VerificationReport, check_injective_homomorphism
 
 
 @dataclass(frozen=True)
@@ -234,20 +234,9 @@ def check_isomorphism_transport(
             return ZERO
         return AtomElem(x.i, x.j, x.k - n)
 
-    univ = elements_upto(f1, bound)
-    images = {}
-    for x in univ:
-        tx = transport(x)
-        if tx in images:
-            return VerificationReport(False, 0, (images[tx], x), note="transport not injective")
-        images[tx] = x
-    checked = 0
-    for x in univ:
-        for y in univ:
-            if _mul(transport(x), transport(y)) != transport(_mul(x, y)):
-                return VerificationReport(False, checked, (x, y), note="transport not a homomorphism")
-            checked += 1
-    return VerificationReport(True, checked, note=f"offset n={n}")
+    return check_injective_homomorphism(
+        elements_upto(f1, bound), transport, _mul, _mul, "transport", f"offset n={n}"
+    )
 
 
 def maximal_chain_census(f: AtomicFamily, bound: int) -> dict[int, int]:
@@ -259,11 +248,10 @@ def maximal_chain_census(f: AtomicFamily, bound: int) -> dict[int, int]:
     """
     counts: dict[int, int] = {}
     for k in census_atoms(f, bound):
-        length = f.support.index_of(k) + 2
         succ = f.support.successor(k)
         tops = bound + 1 if succ is None else min(bound + 1, succ - k)
-        counts[length] = counts.get(length, 0) + tops
-    return dict(sorted(counts.items()))
+        counts[f.support.index_of(k) + 2] = tops
+    return counts
 
 
 def check_chain_census_invariance(
@@ -279,8 +267,6 @@ def check_chain_census_invariance(
     some length (guaranteed for large enough bound when both supports are
     finite explicit).
     """
-    if bound < 0:
-        raise InvalidElementError("bound must be a natural")
     n = are_translate_equivalent(f1, f2)
     if n is not None:
         checked = 0

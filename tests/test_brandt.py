@@ -48,6 +48,17 @@ class TestRestricted:
             param = v in fam.support and r - v >= 0 and c - v >= 0
             assert in_restricted(e, fam) == param
 
+    @pytest.mark.parametrize("explicit, tail", [
+        ((0, 1, 3), None), ((2, 5), None), ((0,), None), ((0, 2), 7), ((), 0), ((1, 2), 6),
+    ])
+    def test_universe_matches_naive_builder(self, explicit, tail):
+        # oracle: every triple in the cube, filtered and sorted
+        fam = AtomicFamily(SupportSet(explicit, tail))
+        for bound in range(9):
+            cube = (BrandtElem(*t) for t in product(range(bound + 1), repeat=3))
+            naive = [ZERO] + sorted(e for e in cube if in_restricted(e, fam))
+            assert restricted_universe(fam, bound) == naive
+
     def test_universe_sorted_and_restricted(self, fam013):
         univ = restricted_universe(fam013, 4)
         assert univ[0] is ZERO
@@ -67,6 +78,17 @@ class TestFiber:
     def test_size_formula(self, fam):
         for r, c in product(range(6), repeat=2):
             assert len(fiber(r, c, fam)) == len(fam.support.upto(min(r, c)))
+
+    def test_fiber_sizes(self, fam013, fam0):
+        assert len(fiber(3, 3, fam013)) == 3
+        assert len(fiber(0, 0, fam013)) == 1
+        assert len(fiber(2, 1, fam013)) == 2
+        assert all(len(fiber(r, c, fam0)) == 1 for r, c in product(range(5), repeat=2))
+
+    def test_full_support_sizes(self):
+        fam = AtomicFamily(SupportSet((), 0))
+        for r, c in product(range(5), repeat=2):
+            assert len(fiber(r, c, fam)) == min(r, c) + 1
 
 
 class TestEmbedding:

@@ -1,9 +1,14 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from brandt_omega.brandt import parse_brandt
 from brandt_omega.cli import main, parse_brandt_list, parse_nbhd
+from brandt_omega.core import parse_elem
 from brandt_omega.errors import ParseError
+from brandt_omega.families import parse_support
 from brandt_omega.topology import AcNbhd, Tau1Nbhd
 
 
@@ -212,7 +217,37 @@ class TestBoundary:
         assert "invalid natural value" in capsys.readouterr().err
 
 
+    LONG = "1" * 5000  # past int()'s default limit of 4300 digits
+
+    @pytest.mark.parametrize("argv, bound_env", [
+        (["mul", "--family", "0", f"({LONG},0,0)", "0"], None),
+        (["mul", "--family", "0", "--brandt", f"({LONG};0;0)", "O"], None),
+        (["iso", "--family", f"0,{LONG}", "--other", "0"], None),
+        (["census", "--family", "0,1,3"], LONG),
+        (["topo", "prop49", "--family", "0", "--nbhd", f"ac:({LONG},0)", "--m", "O"], None),
+    ], ids=["mul", "mul-brandt", "family", "bound-env", "ac-nbhd"])
+    def test_overlong_natural_exit_2(self, capsys, monkeypatch, argv, bound_env):
+        if bound_env is not None:
+            monkeypatch.setenv("BRANDT_OMEGA_BOUND", bound_env)
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
+    def test_overlong_bound_argument_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--family", "0", "--bound", self.LONG])
+        assert exc.value.code == 2
+        assert "invalid natural value" in capsys.readouterr().err
+
+
 class TestParsers:
+    @given(st.text() | st.text(alphabet="0123456789,;+()Oact:² "))
+    def test_parsers_return_or_raise_parse_error(self, text):
+        for parse in (parse_support, parse_elem, parse_brandt, parse_nbhd, parse_brandt_list):
+            try:
+                parse(text)
+            except ParseError:
+                pass
+
     def test_parse_nbhd(self):
         assert parse_nbhd("ac:(2,5)(3,4)") == AcNbhd(frozenset({(2, 5), (3, 4)}))
         assert parse_nbhd("ac:") == AcNbhd(frozenset())

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 import strategies as sts
 from brandt_omega.brandt import BrandtElem, restricted_universe
 from brandt_omega.core import ZERO
-from brandt_omega.errors import InvalidElementError, ParseError
-from brandt_omega.families import AtomicFamily, SupportSet
+from brandt_omega.errors import InvalidElementError
 from brandt_omega.topology import (
     ADJOINED,
     AcNbhd,
@@ -21,10 +20,7 @@ from brandt_omega.topology import (
     check_shift_continuity_ac,
     extended_multiply,
     find_zero_witness,
-    isolation_report,
-    mseq_from_json,
     mseq_nbhd_contains,
-    mseq_to_json,
     phi,
     psi,
     tau1_annihilation_check,
@@ -235,24 +231,3 @@ class TestMSeq:
         bad = MSeq((BrandtElem(1, 0, 2), BrandtElem(3, 2, 4)))
         with pytest.raises(InvalidElementError):
             bad.validate_over(fam013)
-
-    def test_json_roundtrip(self):
-        seq = MSeq(self.ENTRIES)
-        assert mseq_from_json(mseq_to_json(seq)) == seq
-        with pytest.raises(ParseError):
-            mseq_from_json("[{]")
-        with pytest.raises(ParseError):
-            mseq_from_json('[{"row": 1}]')
-
-
-class TestIsolation:
-    def test_fiber_sizes(self, fam013, fam0):
-        rep = isolation_report(fam013, 3)
-        assert rep[(3, 3)] == 3 and rep[(0, 0)] == 1 and rep[(2, 1)] == 2
-        assert all(v == 1 for v in isolation_report(fam0, 4).values())
-
-    def test_full_support_case(self):
-        fam = AtomicFamily(SupportSet((), 0))
-        rep = isolation_report(fam, 4)
-        for (r, c), size in rep.items():
-            assert size == min(r, c) + 1

@@ -2,8 +2,17 @@ import random
 
 import pytest
 
-from brandt_omega import verification
-from brandt_omega.core import ATOMS, AtomElem, ZERO, _mul, elements_upto, nat_leq_definitional
+from brandt_omega import brandt, verification
+from brandt_omega.brandt import BrandtElem, brandt_multiply, embed, verify_embedding_homomorphism
+from brandt_omega.core import (
+    ATOMS,
+    AtomElem,
+    ZERO,
+    _mul,
+    elements_upto,
+    multiply,
+    nat_leq_definitional,
+)
 from brandt_omega.errors import InvalidElementError, NotTranslateEquivalentError
 from brandt_omega.families import AtomicFamily, SupportSet
 from brandt_omega.report import VerificationReport
@@ -59,6 +68,34 @@ def naive_order_equivalence(universe):
                 return False, checked, (x, y)
             checked += 1
     return True, checked, None
+
+
+def naive_homomorphism(elements, phi, src_mul, dst_mul):
+    """Collision search, then the pairwise product sweep: (passed, checked, counterexample)."""
+    for pos, x in enumerate(elements):
+        for w in elements[:pos]:
+            if phi(w) == phi(x):
+                return False, 0, (w, x)
+    checked = 0
+    for x in elements:
+        for y in elements:
+            if phi(src_mul(x, y)) != dst_mul(phi(x), phi(y)):
+                return False, checked, (x, y)
+            checked += 1
+    return True, checked, None
+
+
+def corrupted_at(mul, p, q, nonzero):
+    """mul with the one pair (p, q) sent to a wrong value: the zero, or
+    `nonzero` where the true product is the zero."""
+
+    def corrupt(a, b):
+        r = mul(a, b)
+        if a == p and b == q:
+            return nonzero if r is ZERO else ZERO
+        return r
+
+    return corrupt
 
 
 def outcome(report):
@@ -229,6 +266,76 @@ class TestIsomorphismTransport:
             check_isomorphism_transport(fam013, other, 3)
 
 
+class TestHomomorphismDefects:
+    """Seeded defects in the embedding and transport sweeps.
+
+    Both share one sweep; each caller must report a non-injective map
+    before any product, and a corrupted product at its first failing pair.
+    """
+
+    F1 = AtomicFamily(SupportSet((0, 1, 3)))
+    F2 = AtomicFamily(SupportSet((2, 3, 5)))  # F1 translated by n = -2
+
+    def test_embedding_not_injective(self, monkeypatch):
+        real = brandt.embed
+        monkeypatch.setattr(
+            brandt, "embed", lambda x, f: ZERO if x == AtomElem(0, 0, 1) else real(x, f)
+        )
+        r = verify_embedding_homomorphism(self.F1, 3)
+        assert (r.passed, r.checked, r.counterexample, r.note) == (
+            False, 0, (ZERO, AtomElem(0, 0, 1)), "embedding not injective"
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_embedding_corrupted_product(self, monkeypatch, seed):
+        f = self.F1
+        univ = elements_upto(f, 3)
+        rng = random.Random(seed)
+        x, y = rng.choice(univ), rng.choice(univ)
+        corrupt = corrupted_at(brandt_multiply, embed(x, f), embed(y, f), BrandtElem(0, 0, 0))
+        monkeypatch.setattr(brandt, "brandt_multiply", corrupt)
+        r = verify_embedding_homomorphism(f, 3)
+        expected = naive_homomorphism(
+            univ, lambda e: embed(e, f), lambda a, b: multiply(a, b, f), corrupt
+        )
+        assert (r.passed, r.checked, r.counterexample, r.note) == (
+            *expected, "embedding not a homomorphism"
+        )
+        # the embedding is injective, so (x, y) is the only failing pair
+        assert r.counterexample == (x, y)
+        assert r.checked == univ.index(x) * len(univ) + univ.index(y)
+
+    def test_transport_not_injective(self, monkeypatch):
+        # every transported element lands on the least atom of F2's frame
+        monkeypatch.setattr(verification, "AtomElem", lambda i, j, k: AtomElem(i, j, 0))
+        r = check_isomorphism_transport(self.F1, self.F2, 3)
+        assert (r.passed, r.checked, r.counterexample, r.note) == (
+            False, 0, (AtomElem(0, 0, 0), AtomElem(0, 0, 1)), "transport not injective"
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_transport_corrupted_product(self, monkeypatch, seed):
+        univ = elements_upto(self.F1, 3)
+        rng = random.Random(seed)
+        # atoms 0 and 1 are outside the image (atoms 2, 3, 5), so the
+        # corrupted pair is met only as a source product
+        x = rng.choice([e for e in univ if e is not ZERO and e.k < 2])
+        y = rng.choice(univ)
+        corrupt = corrupted_at(_mul, x, y, AtomElem(0, 0, 0))
+        monkeypatch.setattr(verification, "_mul", corrupt)
+        r = check_isomorphism_transport(self.F1, self.F2, 3)
+
+        def transport(e):
+            return ZERO if e is ZERO else AtomElem(e.i, e.j, e.k + 2)
+
+        expected = naive_homomorphism(univ, transport, corrupt, corrupt)
+        assert (r.passed, r.checked, r.counterexample, r.note) == (
+            *expected, "transport not a homomorphism"
+        )
+        assert r.counterexample == (x, y)
+        assert r.checked == univ.index(x) * len(univ) + univ.index(y)
+
+
 class TestCensusInvariance:
     def test_equivalent_pair_agrees(self):
         f1 = AtomicFamily(SupportSet((0, 1, 3)))
@@ -291,6 +398,10 @@ class TestCensusInvariance:
         f2 = AtomicFamily(SupportSet((0, 2)))
         r = check_chain_census_invariance(f1, f2, 0)
         assert not r.passed and "increase" in r.note
+
+    def test_maximal_census_rejects_negative_bound(self, fam013):
+        with pytest.raises(InvalidElementError, match="bound must be a natural"):
+            maximal_chain_census(fam013, -1)
 
     def test_maximal_census_values(self):
         assert maximal_chain_census(AtomicFamily(SupportSet((0, 1))), 8) == {2: 1, 3: 9}

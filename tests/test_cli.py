@@ -216,7 +216,6 @@ class TestBoundary:
         assert exc.value.code == 2
         assert "invalid natural value" in capsys.readouterr().err
 
-
     LONG = "1" * 5000  # past int()'s default limit of 4300 digits
 
     @pytest.mark.parametrize("argv, bound_env", [

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 
 import strategies as sts
-from brandt_omega.brandt import BrandtElem, restricted_universe
+from brandt_omega.brandt import BrandtElem, brandt_invert, brandt_multiply, restricted_universe
 from brandt_omega.core import ZERO
 from brandt_omega.errors import InvalidElementError
+from brandt_omega.families import parse_family
 from brandt_omega.topology import (
     ADJOINED,
     AcNbhd,
@@ -231,3 +232,150 @@ class TestMSeq:
         bad = MSeq((BrandtElem(1, 0, 2), BrandtElem(3, 2, 4)))
         with pytest.raises(InvalidElementError):
             bad.validate_over(fam013)
+
+
+# --- sweeps against a naive enumeration -------------------------------------
+#
+# Each oracle filters restricted_universe with the membership predicate
+# written inline and runs the sweep as a plain scan, so the library's
+# neighbourhood members and closure sweep are pinned to (passed, checked,
+# note) of the simplest reading of each check.
+
+def _ac_in(excluded, e):
+    return e is ZERO or (e.row, e.col) not in excluded
+
+
+def _t1_in(n, e):
+    return e is ZERO or n <= e.row < e.col
+
+
+def _scan(items, bad):
+    """(passed, checked) of a sweep that stops at the first bad item."""
+    for i, item in enumerate(items):
+        if bad(item):
+            return False, i
+    return True, len(items)
+
+
+def naive_shift_ac(excluded, x, f, bound):
+    K = {x.row, x.col} | {c for pair in excluded for c in pair}
+    members = [
+        e for e in restricted_universe(f, bound)
+        if e is ZERO or not (e.row in K and e.col in K)
+    ]
+    passed, checked = _scan(members, lambda e: not (
+        _ac_in(excluded, brandt_multiply(e, x)) and _ac_in(excluded, brandt_multiply(x, e))
+    ))
+    note = f"U_K sweep with |K|={len(K)}, bound={bound}" if passed else "translate left the neighborhood"
+    return passed, checked, note
+
+
+def naive_inversion_ac(excluded, f, bound):
+    transposed = {(c, r) for r, c in excluded}
+    members = [e for e in restricted_universe(f, bound) if _ac_in(transposed, e)]
+    passed, checked = _scan(members, lambda e: not _ac_in(excluded, brandt_invert(e)))
+    return passed, checked, f"transposed sweep, bound={bound}" if passed else "inverse left the neighborhood"
+
+
+def naive_annihilation(x, f, bound):
+    n = max(x.row, x.col) + 1
+    members = [e for e in restricted_universe(f, bound) if _t1_in(n, e)]
+    passed, checked = _scan(members, lambda e: not (
+        brandt_multiply(x, e) is ZERO and brandt_multiply(e, x) is ZERO
+    ))
+    return passed, checked, f"n={n}, bound={bound}" if passed else f"translate by U_{n} member is nonzero"
+
+
+def naive_self_product(n, f, bound):
+    members = [e for e in restricted_universe(f, bound) if _t1_in(n, e)]
+    pairs = [(a, b) for a in members for b in members]
+    passed, checked = _scan(pairs, lambda ab: not _t1_in(n, brandt_multiply(*ab)))
+    note = f"n={n}, {len(members)} members, bound={bound}" if passed else "self-product left the neighborhood"
+    return passed, checked, note
+
+
+def naive_prop49(contains, M, f, bound):
+    return not any(
+        contains(e) and (phi(e) in M or psi(e) in M) for e in restricted_universe(f, bound)
+    )
+
+
+def _triple(r):
+    return r.passed, r.checked, r.note
+
+
+SUPPORT_BOUNDS = [(s, b) for s in ("0,1,3", "0,2,+7", "2,5") for b in (3, 6, 10)]
+EXCLUDED = [(), ((2, 5),), ((2, 5), (3, 4)), ((0, 0), (9, 3)), ((4, 4), (4, 6), (6, 4))]
+
+
+def _translators(f):
+    m = f.support.minimum  # at most 2 for these supports
+    return [BrandtElem(3, m, 4), BrandtElem(9, m, 2), BrandtElem(4, m, 4), BrandtElem(2, m, 7)]
+
+
+@pytest.mark.parametrize("support, bound", SUPPORT_BOUNDS)
+class TestSweepsAgainstNaive:
+    def test_shift_continuity_and_inversion_ac(self, support, bound):
+        f = parse_family(support)
+        for excluded in EXCLUDED:
+            u = AcNbhd(frozenset(excluded))
+            assert _triple(check_inversion_ac(u, f, bound)) == naive_inversion_ac(set(excluded), f, bound)
+            for x in _translators(f):
+                got = check_shift_continuity_ac(u, x, f, bound)
+                assert _triple(got) == naive_shift_ac(set(excluded), x, f, bound), (excluded, x)
+
+    def test_annihilation(self, support, bound):
+        f = parse_family(support)
+        for x in _translators(f) + [BrandtElem(0, 0, 1) if f.contains_atom(0) else BrandtElem(2, 2, 3)]:
+            assert _triple(tau1_annihilation_check(x, f, bound)) == naive_annihilation(x, f, bound), x
+
+    def test_self_product_and_combined(self, support, bound):
+        f = parse_family(support)
+        x = _translators(f)[0]
+        for n in (0, 1, 3, 8):
+            want = naive_self_product(n, f, bound)
+            assert _triple(tau1_self_product_check(Tau1Nbhd(n), f, bound)) == want, n
+            first = naive_annihilation(x, f, bound)
+            combined = (True, first[1] + want[1], f"{first[2]}; {want[2]}")
+            assert _triple(check_continuity_tau1(Tau1Nbhd(n), x, f, bound)) == combined, n
+
+    def test_prop49(self, support, bound):
+        f = parse_family(support)
+        m = f.support.minimum
+        Ms = [[], [BrandtElem(5, m, 5)], [BrandtElem(2, m, 2), BrandtElem(7, m, 7)], [ZERO]]
+        for M in Ms:
+            for n in (0, 3, 6):
+                got = check_prop49_condition(Tau1Nbhd(n), M, f, bound)
+                assert got == naive_prop49(lambda e: _t1_in(n, e), set(M), f, bound), (n, M)
+            for excluded in EXCLUDED + [tuple((5, j) for j in range(bound + 1))]:
+                got = check_prop49_condition(AcNbhd(frozenset(excluded)), M, f, bound)
+                assert got == naive_prop49(lambda e: _ac_in(set(excluded), e), set(M), f, bound)
+
+
+class TestWindowCalls:
+    """perfbench/child.py counts the calls each query makes to the module
+    global `topology.restricted_universe`; every sweep must reach its window
+    through that name, once per sweep."""
+
+    @pytest.mark.parametrize("argv, calls", [
+        (["ac-check", "--nbhd", "ac:(2,5)(3,4)", "--elem", "(3;1;4)"], 2),
+        (["t1-check", "--n", "3", "--elem", "(2;1;4)"], 2),
+        (["t1-check", "--n", "3"], 1),
+        (["prop49", "--nbhd", "t1:3", "--m", "(2;0;2)"], 1),
+        (["prop49", "--nbhd", "ac:(5,5)", "--m", "(5;0;5)"], 1),
+    ], ids=["ac-check", "t1-check-elem", "t1-self-product", "prop49-t1", "prop49-ac"])
+    def test_restricted_universe_calls_per_query(self, monkeypatch, capsys, argv, calls):
+        from brandt_omega import topology
+        from brandt_omega.cli import main
+
+        seen = []
+        original = topology.restricted_universe
+
+        def counted(*args):
+            seen.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(topology, "restricted_universe", counted)
+        main(["topo", *argv, "--family", "0,1,3", "--bound", "8"])
+        capsys.readouterr()
+        assert len(seen) == calls

@@ -67,7 +67,6 @@ from .topology import (
     MSeq,
     Tau1Nbhd,
     ac_complement_size,
-    ac_contains,
     check_continuity_tau1,
     check_inversion_ac,
     check_prop49_condition,
@@ -77,7 +76,6 @@ from .topology import (
     mseq_nbhd_contains,
     phi,
     psi,
-    tau1_contains,
 )
 from .verification import (
     BoundedUniverse,

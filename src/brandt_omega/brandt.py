@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ATOMS, AtomElem, Elem, ElemKind, ZERO, Zero, elements_upto, validate_elem
-from .errors import InvalidElementError, NotInImageError, ParseError
-from .families import AtomicFamily, nat
-from .report import VerificationReport, check_injective_homomorphism
+from .core import (
+    ATOMS, AtomElem, Elem, ElemKind, ZERO, Zero, _parse_triple, elements_upto, validate_elem,
+)
+from .errors import InvalidElementError, NotInImageError
+from .families import AtomicFamily
+from .report import VerificationReport, check_closed, check_injective_homomorphism
 
 @dataclass(frozen=True, order=True, slots=True)
 class BrandtElem:
@@ -108,13 +110,9 @@ def verify_restricted_closed(f: AtomicFamily, bound: int) -> VerificationReport:
     """Sweep all restricted pairs with coordinates <= bound: products stay
     in the restricted subsemigroup."""
     univ = restricted_universe(f, bound)
-    checked = 0
-    for a in univ:
-        for b in univ:
-            if not in_restricted(brandt_multiply(a, b), f):
-                return VerificationReport(False, checked, (a, b), note="product left the restricted set")
-            checked += 1
-    return VerificationReport(True, checked, note=f"closed under products on {len(univ)} elements")
+    note = f"closed under products on {len(univ)} elements"
+    return check_closed(univ, brandt_multiply, lambda e: in_restricted(e, f),
+                        "product left the restricted set", note)
 
 
 # --- text and JSON forms ------------------------------------------------
@@ -126,14 +124,7 @@ def format_brandt(e: BrElem) -> str:
 
 
 def parse_brandt(text: str) -> BrElem:
-    s = "".join(text.split())
-    if s == "O":
-        return ZERO
-    if s.startswith("(") and s.endswith(")"):
-        parts = [nat(p) for p in s[1:-1].split(";")]
-        if len(parts) == 3 and None not in parts:
-            return BrandtElem(*parts)
-    raise ParseError(f"bad Brandt element: {text!r}")
+    return _parse_triple(text, "O", ";", BrandtElem, "bad Brandt element")
 
 
 def brandt_to_json(e: BrElem) -> dict:

@@ -242,15 +242,21 @@ def format_elem(x: Elem) -> str:
     return f"({x.i},{x.j},{x.k})"
 
 
-def parse_elem(text: str) -> Elem:
+def _parse_triple(text: str, zero: str, sep: str, make: Callable, error: str):
+    """`zero`, or three naturals joined by sep in parentheses, passed to
+    make; whitespace is ignored.  Anything else raises ParseError."""
     s = "".join(text.split())
-    if s == "0":
+    if s == zero:
         return ZERO
     if s.startswith("(") and s.endswith(")"):
-        parts = [nat(p) for p in s[1:-1].split(",")]
+        parts = [nat(p) for p in s[1:-1].split(sep)]
         if len(parts) == 3 and None not in parts:
-            return AtomElem(*parts)
-    raise ParseError(f"bad element: {text!r}")
+            return make(*parts)
+    raise ParseError(f"{error}: {text!r}")
+
+
+def parse_elem(text: str) -> Elem:
+    return _parse_triple(text, "0", ",", AtomElem, "bad element")
 
 
 def elem_to_json(x: Elem) -> dict:

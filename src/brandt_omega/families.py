@@ -11,6 +11,7 @@ validator and in the set-valued product oracle.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from .errors import FamilyError, ParseError
@@ -20,13 +21,13 @@ _NAT = re.compile(r"[0-9]+")
 
 def nat(text: str) -> int | None:
     """The natural written in ASCII digits, or None: str.isdigit() accepts
-    digits such as "²", and int() rejects more than sys.get_int_max_str_digits()."""
-    if _NAT.fullmatch(text) is None:
+    digits such as "²".  Fewer digits than sys.get_int_max_str_digits() are
+    read, so the sum of two naturals, the largest number any command
+    prints, still converts to text."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if _NAT.fullmatch(text) is None or 0 < limit <= len(text):
         return None
-    try:
-        return int(text)
-    except ValueError:
-        return None
+    return int(text)
 
 
 @dataclass(frozen=True)
@@ -170,9 +171,6 @@ class AtomicFamily:
 
     def contains_atom(self, k: int) -> bool:
         return k in self.support
-
-    def kth(self, m: int) -> int:
-        return self.support.kth(m)
 
     def normalize(self) -> tuple[AtomicFamily, int]:
         """Shift the support so it contains 0; returns (family, k0)."""

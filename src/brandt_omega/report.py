@@ -53,3 +53,16 @@ def check_injective_homomorphism(
                 return VerificationReport(False, checked, (x, y), note=f"{name} not a homomorphism")
             checked += 1
     return VerificationReport(True, checked, note=note)
+
+
+def check_closed(members, mul: Callable, contains: Callable,
+                 fail_note: str, note: str) -> VerificationReport:
+    """Every product a*b of two members satisfies contains, for all pairs
+    in lexicographic order."""
+    checked = 0
+    for a in members:
+        for b in members:
+            if not contains(mul(a, b)):
+                return VerificationReport(False, checked, (a, b), note=fail_note)
+            checked += 1
+    return VerificationReport(True, checked, note=note)

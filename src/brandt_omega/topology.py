@@ -1,7 +1,7 @@
 """Finite-bound models of two zero-neighborhood bases and their checks.
 
-Open sets around the zero are represented by membership predicates:
-the compactification-style base removes finitely many fibers, the
+Open sets around the zero answer `e in u` and list their members up to a
+bound: the compactification-style base removes finitely many fibers, the
 threshold base keeps only fibers with n <= row < col.  All continuity
 statements are verified by exhaustive sweeps up to a caller-chosen bound;
 that is the honest computable surrogate for the cofinite sets involved.
@@ -10,6 +10,7 @@ that is the honest computable surrogate for the cofinite sets involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .brandt import (
     BrandtElem,
@@ -24,11 +25,20 @@ from .brandt import (
 from .core import ZERO, Zero
 from .errors import InvalidElementError
 from .families import AtomicFamily
-from .report import VerificationReport
+from .report import VerificationReport, check_closed
+
+
+class _Window:
+    """Shared by both bases: a neighbourhood's members up to a bound."""
+
+    def members(self, f: AtomicFamily, bound: int) -> list[BrElem]:
+        """The zero, then each member with row, col <= bound, in the order
+        of the module global restricted_universe, which perfbench patches."""
+        return list(filter(self.__contains__, restricted_universe(f, bound)))
 
 
 @dataclass(frozen=True)
-class AcNbhd:
+class AcNbhd(_Window):
     """Everything except the fibers over finitely many (row, col) pairs."""
 
     excluded: frozenset[tuple[int, int]]
@@ -39,9 +49,12 @@ class AcNbhd:
             raise InvalidElementError("excluded pairs must be naturals")
         object.__setattr__(self, "excluded", pairs)
 
+    def __contains__(self, e: BrElem) -> bool:
+        return e is ZERO or (e.row, e.col) not in self.excluded
+
 
 @dataclass(frozen=True)
-class Tau1Nbhd:
+class Tau1Nbhd(_Window):
     """The zero plus all fibers over pairs with n <= row < col."""
 
     n: int
@@ -50,26 +63,8 @@ class Tau1Nbhd:
         if self.n < 0:
             raise InvalidElementError("threshold must be a natural")
 
-
-Nbhd = AcNbhd | Tau1Nbhd
-
-
-def ac_contains(u: AcNbhd, e: BrElem) -> bool:
-    if e is ZERO:
-        return True
-    return (e.row, e.col) not in u.excluded
-
-
-def tau1_contains(u: Tau1Nbhd, e: BrElem) -> bool:
-    if e is ZERO:
-        return True
-    return u.n <= e.row < e.col
-
-
-def nbhd_contains(u: Nbhd, e: BrElem) -> bool:
-    if isinstance(u, AcNbhd):
-        return ac_contains(u, e)
-    return tau1_contains(u, e)
+    def __contains__(self, e: BrElem) -> bool:
+        return e is ZERO or self.n <= e.row < e.col
 
 
 def ac_complement_size(u: AcNbhd, f: AtomicFamily) -> int:
@@ -93,16 +88,11 @@ def check_shift_continuity_ac(
     validate_restricted(x, f)
     if x is ZERO:
         raise InvalidElementError("translation element must be nonzero")
-    K = {x.row, x.col}
-    for r, c in u.excluded:
-        K.add(r)
-        K.add(c)
+    K = {x.row, x.col, *(c for pair in u.excluded for c in pair)}
     checked = 0
-    for e in restricted_universe(f, bound):
-        if e is not ZERO and e.row in K and e.col in K:
-            continue  # outside U_K
+    for e in AcNbhd(frozenset(product(K, K))).members(f, bound):
         for prod in (brandt_multiply(e, x), brandt_multiply(x, e)):
-            if not ac_contains(u, prod):
+            if prod not in u:
                 return VerificationReport(
                     False, checked, (e, x, prod), note="translate left the neighborhood"
                 )
@@ -114,10 +104,8 @@ def check_inversion_ac(u: AcNbhd, f: AtomicFamily, bound: int) -> VerificationRe
     """Inversion maps the transposed-pair neighborhood into u."""
     transposed = AcNbhd(frozenset((c, r) for r, c in u.excluded))
     checked = 0
-    for e in restricted_universe(f, bound):
-        if not ac_contains(transposed, e):
-            continue
-        if not ac_contains(u, brandt_invert(e)):
+    for e in transposed.members(f, bound):
+        if brandt_invert(e) not in u:
             return VerificationReport(
                 False, checked, (e, brandt_invert(e)), note="inverse left the neighborhood"
             )
@@ -131,11 +119,8 @@ def tau1_annihilation_check(x: BrElem, f: AtomicFamily, bound: int) -> Verificat
     if x is ZERO:
         return VerificationReport(True, 0, note="zero translates are trivially zero")
     n = max(x.row, x.col) + 1
-    u = Tau1Nbhd(n)
     checked = 0
-    for e in restricted_universe(f, bound):
-        if not tau1_contains(u, e):
-            continue
+    for e in Tau1Nbhd(n).members(f, bound):
         for prod in (brandt_multiply(x, e), brandt_multiply(e, x)):
             if prod is not ZERO:
                 return VerificationReport(
@@ -147,16 +132,11 @@ def tau1_annihilation_check(x: BrElem, f: AtomicFamily, bound: int) -> Verificat
 
 def tau1_self_product_check(u: Tau1Nbhd, f: AtomicFamily, bound: int) -> VerificationReport:
     """All pairwise products of members of u stay in u."""
-    members = [e for e in restricted_universe(f, bound) if tau1_contains(u, e)]
-    checked = 0
-    for a in members:
-        for b in members:
-            if not tau1_contains(u, brandt_multiply(a, b)):
-                return VerificationReport(
-                    False, checked, (a, b), note="self-product left the neighborhood"
-                )
-            checked += 1
-    return VerificationReport(True, checked, note=f"n={u.n}, {len(members)} members, bound={bound}")
+    members = u.members(f, bound)
+    return check_closed(
+        members, brandt_multiply, u.__contains__,
+        "self-product left the neighborhood", f"n={u.n}, {len(members)} members, bound={bound}",
+    )
 
 
 def check_continuity_tau1(
@@ -189,7 +169,7 @@ def psi(x: BrElem) -> BrElem:
 
 
 def check_prop49_condition(
-    u: Nbhd, M: list[BrElem], f: AtomicFamily, bound: int
+    u: AcNbhd | Tau1Nbhd, M: list[BrElem], f: AtomicFamily, bound: int
 ) -> bool:
     """True iff u avoids every element whose phi- or psi-image lies in M.
 
@@ -200,10 +180,7 @@ def check_prop49_condition(
         if not brandt_is_idempotent(m):
             raise InvalidElementError(f"non-idempotent in M: {m}")
     mset = set(M)
-    for e in restricted_universe(f, bound):
-        if nbhd_contains(u, e) and (phi(e) in mset or psi(e) in mset):
-            return False
-    return True
+    return not any(phi(e) in mset or psi(e) in mset for e in u.members(f, bound))
 
 
 def find_zero_witness(a: BrElem, D: list[BrElem]) -> BrElem | None:

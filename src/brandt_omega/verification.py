@@ -214,6 +214,11 @@ def check_chain_structure(universe: BoundedUniverse) -> VerificationReport:
     return VerificationReport(True, checked, note=note)
 
 
+def _translate(x: Elem, n: int) -> Elem:
+    """(i, j, k) -> (i, j, k - n), the map induced by a translate offset n."""
+    return ZERO if x is ZERO else AtomElem(x.i, x.j, x.k - n)
+
+
 def check_isomorphism_transport(
     f1: AtomicFamily, f2: AtomicFamily, bound: int
 ) -> VerificationReport:
@@ -228,15 +233,8 @@ def check_isomorphism_transport(
         raise NotTranslateEquivalentError(
             f"supports {f1.support} and {f2.support} are not translates"
         )
-
-    def transport(x: Elem) -> Elem:
-        if x is ZERO:
-            return ZERO
-        return AtomElem(x.i, x.j, x.k - n)
-
-    return check_injective_homomorphism(
-        elements_upto(f1, bound), transport, _mul, _mul, "transport", f"offset n={n}"
-    )
+    return check_injective_homomorphism(elements_upto(f1, bound), lambda x: _translate(x, n),
+                                        _mul, _mul, "transport", f"offset n={n}")
 
 
 def maximal_chain_census(f: AtomicFamily, bound: int) -> dict[int, int]:
@@ -272,7 +270,8 @@ def check_chain_census_invariance(
         checked = 0
         for k in census_atoms(f1, bound):
             for i in range(bound + 1):
-                x, tx = AtomElem(i, i, k), AtomElem(i, i, k - n)
+                x = AtomElem(i, i, k)
+                tx = _translate(x, n)
                 if not (
                     f2.contains_atom(tx.k)
                     and len(maximal_chain_down(x, f1)) == len(maximal_chain_down(tx, f2))

@@ -231,6 +231,22 @@ class TestBoundary:
         code, _, err = run(capsys, *argv)
         assert code == 2 and err.startswith("error:") and "Traceback" not in err
 
+    NINES = "9" * 4300  # int()'s default limit; a sum of two such would print 4,301 digits
+
+    @pytest.mark.parametrize("argv", [
+        ["embed", "--family", f"0,+{NINES}", f"({NINES},0,{NINES})"],
+        ["mul", "--family", f"0,+{NINES}", f"({NINES},0,{NINES})", f"({NINES},0,0)"],
+    ], ids=["embed", "mul"])
+    def test_natural_at_digit_limit_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: bad support")
+        assert "Traceback" not in err
+
+    def test_largest_naturals_still_print(self, capsys):
+        n = "9" * 4299
+        code, out, _ = run(capsys, "embed", "--family", f"0,+{n}", f"({n},0,{n})")
+        assert code == 0 and out == f"({int(n) * 2};{n};{n})\n"
+
     def test_overlong_bound_argument_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--family", "0", "--bound", self.LONG])

@@ -14,7 +14,6 @@ from brandt_omega.topology import (
     MSeq,
     Tau1Nbhd,
     ac_complement_size,
-    ac_contains,
     check_continuity_tau1,
     check_inversion_ac,
     check_prop49_condition,
@@ -25,7 +24,6 @@ from brandt_omega.topology import (
     phi,
     psi,
     tau1_annihilation_check,
-    tau1_contains,
     tau1_self_product_check,
 )
 
@@ -33,10 +31,10 @@ from brandt_omega.topology import (
 class TestAcNbhd:
     def test_membership(self):
         u = AcNbhd(frozenset({(3, 4)}))
-        assert ac_contains(u, BrandtElem(3, 1, 5))
-        assert not ac_contains(u, BrandtElem(3, 1, 4))
-        assert ac_contains(u, ZERO)
-        assert ac_contains(AcNbhd(frozenset()), ZERO)
+        assert BrandtElem(3, 1, 5) in u
+        assert BrandtElem(3, 1, 4) not in u
+        assert ZERO in u
+        assert ZERO in AcNbhd(frozenset())
 
     def test_complement_size(self, fam013):
         assert ac_complement_size(AcNbhd(frozenset({(2, 5)})), fam013) == 2
@@ -47,7 +45,7 @@ class TestAcNbhd:
         u = AcNbhd(frozenset({(2, 5), (1, 3)}))
         removed = [
             e for e in restricted_universe(fam013, 8)
-            if e is not ZERO and not ac_contains(u, e)
+            if e is not ZERO and e not in u
         ]
         assert len(removed) == ac_complement_size(u, fam013)
 
@@ -85,10 +83,10 @@ class TestAcContinuity:
 class TestTau1:
     def test_membership(self):
         u = Tau1Nbhd(3)
-        assert tau1_contains(u, BrandtElem(5, 1, 7))
-        assert not tau1_contains(u, BrandtElem(5, 1, 4))
-        assert not tau1_contains(u, BrandtElem(2, 0, 9))
-        assert tau1_contains(u, ZERO)
+        assert BrandtElem(5, 1, 7) in u
+        assert BrandtElem(5, 1, 4) not in u
+        assert BrandtElem(2, 0, 9) not in u
+        assert ZERO in u
 
     def test_predicate_matches_fiber_union(self, fam013):
         from brandt_omega.brandt import fiber
@@ -98,7 +96,7 @@ class TestTau1:
             u = Tau1Nbhd(n)
             members = {
                 e for e in restricted_universe(fam013, bound)
-                if e is not ZERO and tau1_contains(u, e)
+                if e is not ZERO and e in u
             }
             union = {
                 e
@@ -107,6 +105,13 @@ class TestTau1:
                 for e in fiber(i, j, fam013)
             }
             assert members == union
+
+    def test_members_are_the_zero_then_the_window_in_order(self, fam013):
+        window = restricted_universe(fam013, 7)
+        for u in (Tau1Nbhd(2), AcNbhd(frozenset({(2, 5), (3, 3)}))):
+            members = u.members(fam013, 7)
+            assert members[0] is ZERO
+            assert members == [e for e in window if e in u]
 
     def test_annihilation_example(self, fam013):
         r = tau1_annihilation_check(BrandtElem(2, 1, 4), fam013, 15)

@@ -2,8 +2,15 @@ import random
 
 import pytest
 
-from brandt_omega import brandt, verification
-from brandt_omega.brandt import BrandtElem, brandt_multiply, embed, verify_embedding_homomorphism
+from brandt_omega import brandt, topology, verification
+from brandt_omega.brandt import (
+    BrandtElem,
+    brandt_multiply,
+    embed,
+    restricted_universe,
+    verify_embedding_homomorphism,
+    verify_restricted_closed,
+)
 from brandt_omega.core import (
     ATOMS,
     AtomElem,
@@ -16,6 +23,7 @@ from brandt_omega.core import (
 from brandt_omega.errors import InvalidElementError, NotTranslateEquivalentError
 from brandt_omega.families import AtomicFamily, SupportSet
 from brandt_omega.report import VerificationReport
+from brandt_omega.topology import Tau1Nbhd, tau1_self_product_check
 from brandt_omega.verification import (
     BoundedUniverse,
     check_associativity,
@@ -334,6 +342,67 @@ class TestHomomorphismDefects:
         )
         assert r.counterexample == (x, y)
         assert r.checked == univ.index(x) * len(univ) + univ.index(y)
+
+
+class TestClosureDefects:
+    """Seeded defects in the shared pair-closure sweep.
+
+    With the true product both callers always pass (min(val) <= min(row,
+    col) holds for every product), so only a corrupted product can make
+    them fail.  The corrupted pair sends its product to OUTSIDE, which is
+    in neither the restricted set nor any tau1 neighbourhood.
+    """
+
+    F = AtomicFamily(SupportSet((0, 1, 3)))
+    OUTSIDE = BrandtElem(1, 5, 0)
+
+    @staticmethod
+    def naive_closed(members, mul, contains):
+        pairs = [(a, b) for a in members for b in members]
+        for pos, (a, b) in enumerate(pairs):
+            if not contains(mul(a, b)):
+                return False, pos, (a, b)
+        return True, len(pairs), None
+
+    def corrupt(self, members, seed):
+        rng = random.Random(seed)
+        p, q = rng.choice(members), rng.choice(members)
+
+        def mul(a, b):
+            return self.OUTSIDE if (a, b) == (p, q) else brandt_multiply(a, b)
+
+        return mul, (p, q)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_restricted_closure(self, monkeypatch, seed):
+        f, bound = self.F, 4
+        window = restricted_universe(f, bound)
+        mul, pair = self.corrupt(window, seed)
+        monkeypatch.setattr(brandt, "brandt_multiply", mul)
+        r = verify_restricted_closed(f, bound)
+
+        def restricted(e):
+            return e is ZERO or (f.contains_atom(e.val) and e.val <= e.row and e.val <= e.col)
+
+        expected = self.naive_closed(window, mul, restricted)
+        assert (r.passed, r.checked, r.counterexample, r.note) == (
+            *expected, "product left the restricted set"
+        )
+        assert r.counterexample == pair
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_tau1_self_product(self, monkeypatch, seed, n):
+        f, bound = self.F, 6
+        members = [e for e in restricted_universe(f, bound) if e is ZERO or n <= e.row < e.col]
+        mul, pair = self.corrupt(members, seed)
+        monkeypatch.setattr(topology, "brandt_multiply", mul)
+        r = tau1_self_product_check(Tau1Nbhd(n), f, bound)
+        expected = self.naive_closed(members, mul, lambda e: e is ZERO or n <= e.row < e.col)
+        assert (r.passed, r.checked, r.counterexample, r.note) == (
+            *expected, "self-product left the neighborhood"
+        )
+        assert r.counterexample == pair
 
 
 class TestCensusInvariance:

@@ -71,10 +71,6 @@ class SupportSet:
     def __contains__(self, k: int) -> bool:
         return k in self._eset or (self.tail is not None and k >= self.tail)
 
-    def size(self) -> int | None:
-        """Number of elements, or None when the support is infinite."""
-        return len(self.explicit) if self.tail is None else None
-
     def kth(self, m: int) -> int:
         """The m-th element of the increasing enumeration k_0 < k_1 < ..."""
         if m < 0:

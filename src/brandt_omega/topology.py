@@ -28,17 +28,8 @@ from .families import AtomicFamily
 from .report import VerificationReport, check_closed
 
 
-class _Window:
-    """Shared by both bases: a neighbourhood's members up to a bound."""
-
-    def members(self, f: AtomicFamily, bound: int) -> list[BrElem]:
-        """The zero, then each member with row, col <= bound, in the order
-        of the module global restricted_universe, which perfbench patches."""
-        return list(filter(self.__contains__, restricted_universe(f, bound)))
-
-
 @dataclass(frozen=True)
-class AcNbhd(_Window):
+class AcNbhd:
     """Everything except the fibers over finitely many (row, col) pairs."""
 
     excluded: frozenset[tuple[int, int]]
@@ -52,9 +43,17 @@ class AcNbhd(_Window):
     def __contains__(self, e: BrElem) -> bool:
         return e is ZERO or (e.row, e.col) not in self.excluded
 
+    def members(self, f: AtomicFamily, bound: int) -> list[BrElem]:
+        """The zero, then each member with row, col <= bound, in window order.
+
+        Nearly the whole window, so it filters the module global
+        restricted_universe, which perfbench patches to time the window.
+        """
+        return list(filter(self.__contains__, restricted_universe(f, bound)))
+
 
 @dataclass(frozen=True)
-class Tau1Nbhd(_Window):
+class Tau1Nbhd:
     """The zero plus all fibers over pairs with n <= row < col."""
 
     n: int
@@ -65,6 +64,21 @@ class Tau1Nbhd(_Window):
 
     def __contains__(self, e: BrElem) -> bool:
         return e is ZERO or self.n <= e.row < e.col
+
+    def members(self, f: AtomicFamily, bound: int) -> list[BrElem]:
+        """The zero, then each member with row, col <= bound, in window order:
+        rows n..bound, atoms k <= row, cols row+1..bound.
+
+        Generated directly, since the window around it is mostly discarded.
+        """
+        if bound < 0:
+            raise InvalidElementError("bound must be a natural")
+        out: list[BrElem] = [ZERO]
+        for row in range(self.n, bound + 1):
+            cols = range(row + 1, bound + 1)
+            for k in f.support.upto(row):
+                out.extend(BrandtElem(row, k, col) for col in cols)
+        return out
 
 
 def ac_complement_size(u: AcNbhd, f: AtomicFamily) -> int:

@@ -67,6 +67,31 @@ class TestRestricted:
         assert rest == sorted(rest)
 
 
+class TestElementType:
+    """BrandtElem is a tuple subclass: results must still be BrandtElem,
+    never a bare tuple, and must never equal an atom triple."""
+
+    def test_results_are_brandt_elems(self, fam013):
+        a, b = BrandtElem(2, 1, 4), BrandtElem(4, 0, 5)
+        results = [
+            brandt_multiply(a, b), brandt_invert(a), parse_brandt("(2;1;4)"),
+            embed(AtomElem(1, 2, 1), fam013), *fiber(3, 5, fam013),
+        ]
+        assert [type(e) for e in results] == [BrandtElem] * 7
+        assert brandt_multiply(a, a) is ZERO and brandt_invert(ZERO) is ZERO
+        assert parse_brandt("O") is ZERO and embed(ZERO, fam013) is ZERO
+
+    def test_never_equal_to_an_atom_triple(self):
+        assert BrandtElem(1, 2, 3) != AtomElem(1, 2, 3)
+        assert AtomElem(1, 2, 3) != BrandtElem(1, 2, 3)
+
+    def test_immutable_with_field_repr(self):
+        e = BrandtElem(1, 2, 3)
+        with pytest.raises(AttributeError):
+            e.row = 5
+        assert repr(e) == "BrandtElem(row=1, val=2, col=3)"
+
+
 class TestFiber:
     def test_examples(self, fam013):
         assert fiber(2, 5, fam013) == [BrandtElem(2, 0, 5), BrandtElem(2, 1, 5)]

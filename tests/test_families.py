@@ -70,7 +70,6 @@ class TestSupportSet:
         t = SupportSet((0, 2), 7)
         assert t.upto(9) == [0, 2, 7, 8, 9]
         assert 2 in t and 8 in t and 5 not in t
-        assert t.size() is None and SupportSet((1, 4)).size() == 2
 
     def test_shift(self):
         assert SupportSet((2, 3, 5)).shift(2) == SupportSet((0, 1, 3))

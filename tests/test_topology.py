@@ -113,6 +113,21 @@ class TestTau1:
             assert members[0] is ZERO
             assert members == [e for e in window if e in u]
 
+    @pytest.mark.parametrize("support", ["0,1,3", "0,2,+7", "2,5", "5", "0,+4"])
+    def test_generated_members_match_the_filtered_window(self, support):
+        # oracle: the window filtered by the membership predicate
+        f = parse_family(support)
+        for bound in range(13):
+            window = restricted_universe(f, bound)[1:]
+            for n in range(bound + 3):
+                u = Tau1Nbhd(n)
+                want = [ZERO] + [e for e in window if e in u]
+                assert u.members(f, bound) == want, (bound, n)
+
+    def test_members_reject_a_negative_bound(self, fam013):
+        with pytest.raises(InvalidElementError, match="bound must be a natural"):
+            Tau1Nbhd(0).members(fam013, -1)
+
     def test_annihilation_example(self, fam013):
         r = tau1_annihilation_check(BrandtElem(2, 1, 4), fam013, 15)
         assert r.passed and "n=5" in r.note
@@ -142,6 +157,15 @@ class TestPhiPsi:
         assert phi(x) == brandt_multiply(x, brandt_invert(x))
         assert psi(x) == brandt_multiply(brandt_invert(x), x)
         assert brandt_multiply(x, psi(x)) == x
+
+
+class TestElementType:
+    def test_results_are_brandt_elems(self, fam013):
+        x = BrandtElem(3, 1, 5)
+        tau1 = Tau1Nbhd(2).members(fam013, 6)
+        ac = AcNbhd(frozenset({(2, 5)})).members(fam013, 6)
+        assert tau1[0] is ZERO and ac[0] is ZERO
+        assert {type(e) for e in [phi(x), psi(x), *tau1[1:], *ac[1:]]} == {BrandtElem}
 
 
 class TestProp49:
@@ -359,14 +383,15 @@ class TestSweepsAgainstNaive:
 
 class TestWindowCalls:
     """perfbench/child.py counts the calls each query makes to the module
-    global `topology.restricted_universe`; every sweep must reach its window
-    through that name, once per sweep."""
+    global `topology.restricted_universe`.  An `ac` sweep reads its window
+    through that name, once per sweep; a τ1 sweep generates its members and
+    never reads the window."""
 
     @pytest.mark.parametrize("argv, calls", [
         (["ac-check", "--nbhd", "ac:(2,5)(3,4)", "--elem", "(3;1;4)"], 2),
-        (["t1-check", "--n", "3", "--elem", "(2;1;4)"], 2),
-        (["t1-check", "--n", "3"], 1),
-        (["prop49", "--nbhd", "t1:3", "--m", "(2;0;2)"], 1),
+        (["t1-check", "--n", "3", "--elem", "(2;1;4)"], 0),
+        (["t1-check", "--n", "3"], 0),
+        (["prop49", "--nbhd", "t1:3", "--m", "(2;0;2)"], 0),
         (["prop49", "--nbhd", "ac:(5,5)", "--m", "(5;0;5)"], 1),
     ], ids=["ac-check", "t1-check-elem", "t1-self-product", "prop49-t1", "prop49-ac"])
     def test_restricted_universe_calls_per_query(self, monkeypatch, capsys, argv, calls):

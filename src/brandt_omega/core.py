@@ -61,7 +61,7 @@ def validate_elem(x: Elem, f: AtomicFamily) -> None:
     if x is ZERO:
         return
     if x.i < 0 or x.j < 0:
-        raise InvalidElementError(f"negative coordinate in {x}")
+        raise InvalidElementError(f"negative coordinate in {format_elem(x)}")
     if not f.contains_atom(x.k):
         raise InvalidElementError(f"atom {x.k} is not in support {f.support}")
 

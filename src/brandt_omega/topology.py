@@ -19,6 +19,7 @@ from .brandt import (
     brandt_is_idempotent,
     brandt_multiply,
     fiber,
+    format_brandt,
     restricted_universe,
     validate_restricted,
 )
@@ -192,7 +193,7 @@ def check_prop49_condition(
     """
     for m in M:
         if not brandt_is_idempotent(m):
-            raise InvalidElementError(f"non-idempotent in M: {m}")
+            raise InvalidElementError(f"non-idempotent in M: {format_brandt(m)}")
     mset = set(M)
     return not any(phi(e) in mset or psi(e) in mset for e in u.members(f, bound))
 

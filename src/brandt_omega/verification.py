@@ -79,11 +79,18 @@ def check_associativity(
     their positions.  With U the window together with its pairwise
     products, rows[a] holds the ids of a*y for y in U and left[x] the ids
     of x*c for c in the window, so (a*b)*c for all c is the list left[a*b]
-    and a*(b*c) is rows[a] indexed by left[b].  Each (a, b) is then one list comparison;
-    on a mismatch the first differing c gives the same lexicographically
-    first counterexample and `checked` count as a triple-by-triple sweep.
-    The products computed are exactly the pairs such a sweep asks for when
-    it passes.
+    and a*(b*c) is rows[a] indexed by left[b].  The products computed are
+    exactly the pairs a triple-by-triple sweep asks for when it passes.
+
+    Most products are the zero, whose row is constant.  Where left[a*b] is
+    one id t throughout (read off the table, never assumed, so an injected
+    product cannot slip past), (a*b)*c = t for every c, and all b sharing
+    that a*b pass together exactly when every id in the union of their
+    left[b] rows lies in {y : rows[a][y] == t}: one set inclusion.  Every
+    other (a, b) is one list comparison of left[a*b] with rows[a] indexed
+    by left[b].  If anything fails for a, its b's are compared again in
+    order, so the first differing c gives the same lexicographically first
+    counterexample and `checked` count as a triple-by-triple sweep.
     """
     mul = product if product is not None else universe.product()
     elems = universe.elements
@@ -102,9 +109,24 @@ def check_associativity(
     outside = values[n:]  # U minus the window
     left = square + [[intern(mul(x, c)) for c in elems] for x in outside]
     rows = [row + [intern(mul(a, y)) for y in outside] for a, row in zip(elems, square)]
+    const = [r[0] if r.count(r[0]) == n else None for r in left]
+    vals = [set(r) for r in square]
     checked = 0
     for a, row, ab_row in zip(elems, rows, square):
         at = row.__getitem__
+        groups: dict[int, set] = {}
+        ok = True
+        for ab, b_row, b_vals in zip(ab_row, square, vals):
+            if const[ab] is not None:
+                groups.setdefault(ab, set()).update(b_vals)
+            elif left[ab] != list(map(at, b_row)):
+                ok = False
+                break
+        if ok and all(
+            {const[ab]}.issuperset(map(at, union)) for ab, union in groups.items()
+        ):
+            checked += n * n
+            continue
         for b, ab, b_row in zip(elems, ab_row, square):
             lhs = left[ab]
             rhs = list(map(at, b_row))

@@ -155,6 +155,12 @@ class TestTopo:
                            "--nbhd", "t1:1", "--m", "(5;0;5)", "--bound", "20")
         assert code == 1 and out == "false\n"
 
+    def test_prop49_non_idempotent_named_as_typed(self, capsys):
+        code, out, err = run(capsys, "topo", "prop49", "--family", "0,1,3",
+                             "--nbhd", "t1:0", "--m", "(1;1;2)")
+        assert code == 3 and out == ""
+        assert err == "error: non-idempotent in M: (1;1;2)\n"
+
     def test_witness(self, capsys):
         code, out, _ = run(capsys, "topo", "witness", "--family", "0,1,3",
                            "--a", "(2;1;4)", "--d", "(5;0;6),(4;1;7)")

@@ -40,6 +40,10 @@ class TestMultiply:
         with pytest.raises(InvalidElementError):
             multiply(AtomElem(0, 0, 2), AtomElem(0, 0, 0), fam013)
 
+    def test_negative_coordinate_named_as_typed(self, fam013):
+        with pytest.raises(InvalidElementError, match=r"^negative coordinate in \(-1,2,0\)$"):
+            multiply(AtomElem(-1, 2, 0), AtomElem(0, 0, 0), fam013)
+
     @given(sts.fam_and_elems(n=2))
     def test_square_is_self_or_zero(self, fe):
         fam, (x, _) = fe

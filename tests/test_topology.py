@@ -184,6 +184,8 @@ class TestProp49:
     def test_rejects_non_idempotent(self, fam013):
         with pytest.raises(InvalidElementError):
             check_prop49_condition(Tau1Nbhd(1), [BrandtElem(1, 0, 2)], fam013, 5)
+        with pytest.raises(InvalidElementError, match=r"^non-idempotent in M: \(1;0;2\)$"):
+            check_prop49_condition(Tau1Nbhd(1), [BrandtElem(1, 0, 2)], fam013, 5)
 
     def test_rejects_negative_bound(self, fam013):
         # a negative bound sweeps nothing, so it would pass vacuously

@@ -106,6 +106,11 @@ def corrupted_at(mul, p, q, nonzero):
     return corrupt
 
 
+def sent_to(mul, p, q, wrong):
+    """mul with the one pair (p, q) sent to `wrong`."""
+    return lambda a, b: wrong if a == p and b == q else mul(a, b)
+
+
 def outcome(report):
     return report.passed, report.checked, report.counterexample
 
@@ -197,6 +202,55 @@ class TestAssociativity:
             corrupt = single_pair_corruption(u, rng)
             expected = naive_associativity(u, corrupt)
             assert outcome(check_associativity(u, product=corrupt)) == expected
+
+    def test_products_are_the_naive_sweeps_pairs(self, fam013):
+        # a sweep that checks less is not faster: the tables ask for every
+        # pair the memoised triple sweep asks for, each exactly once
+        u = BoundedUniverse.atoms(fam013, 3)
+        calls, asked = [], []
+        assert check_associativity(u, product=lambda a, b: calls.append((a, b)) or _mul(a, b)).passed
+        naive_associativity(u, lambda a, b: asked.append((a, b)) or _mul(a, b))
+        assert len(calls) == 6321
+        assert set(calls) == set(asked) and len(asked) == 6321
+
+    UNIVERSES = [("atoms", (0, 1, 3), 3), ("atoms", (2, 5), 3), ("brandt", (0, 1, 3), 3)]
+
+    @staticmethod
+    def beyond(u):
+        """A nonzero element past the window's bound."""
+        x, b = u.elements[1], u.bound + 1
+        return AtomElem(b, b + 1, x.k) if u.kind is ATOMS else BrandtElem(b, x.val, b + 1)
+
+    # name -> (product for the universe u, whether the product is associative)
+    PRODUCTS = {
+        "left-zero-band": (lambda u: lambda a, b: a, True),
+        "right-zero-band": (lambda u: lambda a, b: b, True),
+        "constant-zero": (lambda u: lambda a, b: ZERO, True),
+        "constant-nonzero": (lambda u: lambda a, b: u.elements[-1], True),
+        "zero-times-c": (lambda u: corrupted_at(u.product(), ZERO, u.elements[len(u.elements) // 2],
+                                                u.elements[1]), False),
+        # zero elsewhere, so only the zero's own row can show the defect
+        "null-but-zero-times-c": (lambda u: sent_to(lambda a, b: ZERO, ZERO,
+                                                    u.elements[len(u.elements) // 2],
+                                                    u.elements[1]), False),
+        "a-times-zero": (lambda u: corrupted_at(u.product(), u.elements[len(u.elements) // 3], ZERO,
+                                                u.elements[1]), False),
+        "lands-outside": (lambda u: sent_to(u.product(), u.elements[1], u.elements[2],
+                                            TestAssociativity.beyond(u)), False),
+    }
+
+    @pytest.mark.parametrize("name", PRODUCTS)
+    @pytest.mark.parametrize("kind, explicit, bound", UNIVERSES,
+                             ids=["013@3", "25@3", "brandt013@3"])
+    def test_structured_products_match_naive_sweep(self, kind, explicit, bound, name):
+        # whole rows constant (bands, constant products), a zero row that is
+        # not constant, and a product interned outside the window
+        u = getattr(BoundedUniverse, kind)(AtomicFamily(SupportSet(explicit)), bound)
+        make, associative = self.PRODUCTS[name]
+        product = make(u)
+        expected = naive_associativity(u, product)
+        assert expected[0] is associative
+        assert outcome(check_associativity(u, product=product)) == expected
 
 
 class TestInverseAxioms:

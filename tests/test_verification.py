@@ -227,14 +227,14 @@ class TestAssociativity:
         "right-zero-band": (lambda u: lambda a, b: b, True),
         "constant-zero": (lambda u: lambda a, b: ZERO, True),
         "constant-nonzero": (lambda u: lambda a, b: u.elements[-1], True),
-        "zero-times-c": (lambda u: corrupted_at(u.product(), ZERO, u.elements[len(u.elements) // 2],
-                                                u.elements[1]), False),
+        "zero-times-c": (lambda u: sent_to(u.product(), ZERO, u.elements[len(u.elements) // 2],
+                                           u.elements[1]), False),
         # zero elsewhere, so only the zero's own row can show the defect
         "null-but-zero-times-c": (lambda u: sent_to(lambda a, b: ZERO, ZERO,
                                                     u.elements[len(u.elements) // 2],
                                                     u.elements[1]), False),
-        "a-times-zero": (lambda u: corrupted_at(u.product(), u.elements[len(u.elements) // 3], ZERO,
-                                                u.elements[1]), False),
+        "a-times-zero": (lambda u: sent_to(u.product(), u.elements[len(u.elements) // 3], ZERO,
+                                           u.elements[1]), False),
         "lands-outside": (lambda u: sent_to(u.product(), u.elements[1], u.elements[2],
                                             TestAssociativity.beyond(u)), False),
     }

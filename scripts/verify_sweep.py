@@ -7,14 +7,18 @@ Usage: python scripts/verify_sweep.py [bound ...]   (default: 4 6; 6 is the CLI 
 import sys
 import time
 
-from brandt_omega.families import AtomicFamily, parse_support
+from brandt_omega.families import AtomicFamily, nat, parse_support
 from brandt_omega.verification import VERIFY_CHECKS
 
 SUPPORTS = ["0", "0,1,3", "2,5", "0,+4", "1,2,+6"]
+USAGE = "usage: verify_sweep.py [bound ...]   (bounds are naturals; default: 4 6)"
 
 
 def main():
-    bounds = [int(b) for b in sys.argv[1:]] or [4, 6]
+    bounds = [nat(b) for b in sys.argv[1:]] or [4, 6]
+    if None in bounds:
+        print(USAGE, file=sys.stderr)
+        sys.exit(2)
     print(f"{'support':>8}  {'bound':>5}  {'check':<24} {'checked':>10}  {'time':>7}")
     for text in SUPPORTS:
         fam = AtomicFamily(parse_support(text))

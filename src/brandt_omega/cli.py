@@ -76,13 +76,15 @@ def _emit(args, obj, *lines: str) -> None:
             print(line)
 
 
-def _report(args, name: str, r: VerificationReport, kind: ElemKind) -> None:
+def _report(args, name: str, r: VerificationReport, kind: ElemKind) -> bool:
+    """Print one check's outcome in kind's notation; True when it passed."""
     if r.passed:
         line = f"{name}: pass (checked={r.checked})"
     else:
-        ce = " ".join(str(e) for e in r.counterexample)
+        ce = " ".join(map(kind.fmt, r.counterexample))
         line = f"{name}: fail (counterexample={ce}; note={r.note})"
     _emit(args, {"name": name, **r.to_json_dict(kind.to_json)}, line)
+    return r.passed
 
 
 # --- command handlers -----------------------------------------------------
@@ -177,9 +179,8 @@ def _cmd_ac_check(args, f) -> int:
     x = BRANDT.parse(args.elem)
     r = topology.check_shift_continuity_ac(u, x, f, bound)
     inv = topology.check_inversion_ac(u, f, bound)
-    _report(args, "shift-continuity", r, BRANDT)
-    _report(args, "inversion", inv, BRANDT)
-    return 0 if r.passed and inv.passed else 1
+    passed = [_report(args, "shift-continuity", r, BRANDT), _report(args, "inversion", inv, BRANDT)]
+    return 0 if all(passed) else 1
 
 
 def _cmd_t1_check(args, f) -> int:
@@ -189,8 +190,7 @@ def _cmd_t1_check(args, f) -> int:
         r = topology.check_continuity_tau1(u, BRANDT.parse(args.elem), f, bound)
     else:
         r = topology.tau1_self_product_check(u, f, bound)
-    _report(args, "t1-continuity", r, BRANDT)
-    return 0 if r.passed else 1
+    return 0 if _report(args, "t1-continuity", r, BRANDT) else 1
 
 
 def _cmd_prop49(args, f) -> int:
@@ -212,12 +212,8 @@ def _cmd_witness(args, f) -> int:
 
 def _cmd_verify(args, f) -> int:
     bound = _bound(args)
-    all_passed = True
-    for name, run, kind in VERIFY_CHECKS:
-        r = run(f, bound)
-        _report(args, name, r, kind)
-        all_passed = all_passed and r.passed
-    return 0 if all_passed else 1
+    passed = [_report(args, name, run(f, bound), kind) for name, run, kind in VERIFY_CHECKS]
+    return 0 if all(passed) else 1
 
 
 # --- parser ----------------------------------------------------------------

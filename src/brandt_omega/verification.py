@@ -82,59 +82,41 @@ def check_associativity(
     and a*(b*c) is rows[a] indexed by left[b].  The products computed are
     exactly the pairs a triple-by-triple sweep asks for when it passes.
 
-    Most products are the zero, whose row is constant.  Where left[a*b] is
-    one id t throughout (read off the table, never assumed, so an injected
-    product cannot slip past), (a*b)*c = t for every c, and all b sharing
-    that a*b pass together exactly when every id in the union of their
-    left[b] rows lies in {y : rows[a][y] == t}: one set inclusion.  Every
-    other (a, b) is one list comparison of left[a*b] with rows[a] indexed
-    by left[b].  If anything fails for a, its b's are compared again in
-    order, so the first differing c gives the same lexicographically first
+    One pass visits (a, b) in lexicographic order.  Most products are the
+    zero, whose row is constant.  Where left[a*b] is one id t throughout
+    (read off the table, never assumed, so an injected product cannot slip
+    past), (a, b) passes when every id of left[b] maps to t under rows[a]:
+    one set inclusion.  Otherwise left[a*b] is compared with rows[a]
+    indexed by left[b], and the first differing c gives the same first
     counterexample and `checked` count as a triple-by-triple sweep.
     """
     mul = product if product is not None else universe.product()
     elems = universe.elements
     n = len(elems)
     ids = {x: p for p, x in enumerate(elems)}
-    values = list(elems)
-
-    def intern(x) -> int:
-        i = ids.get(x)
-        if i is None:
-            i = ids[x] = len(values)
-            values.append(x)
-        return i
-
-    square = [[intern(mul(a, c)) for c in elems] for a in elems]
-    outside = values[n:]  # U minus the window
-    left = square + [[intern(mul(x, c)) for c in elems] for x in outside]
-    rows = [row + [intern(mul(a, y)) for y in outside] for a, row in zip(elems, square)]
+    square = [[ids.setdefault(mul(a, c), len(ids)) for c in elems] for a in elems]
+    outside = list(ids)[n:]  # U minus the window
+    left = square + [[ids.setdefault(mul(x, c), len(ids)) for c in elems] for x in outside]
+    rows = [r + [ids.setdefault(mul(a, y), len(ids)) for y in outside]
+            for a, r in zip(elems, square)]
     const = [r[0] if r.count(r[0]) == n else None for r in left]
     vals = [set(r) for r in square]
     checked = 0
     for a, row, ab_row in zip(elems, rows, square):
-        at = row.__getitem__
-        groups: dict[int, set] = {}
-        ok = True
-        for ab, b_row, b_vals in zip(ab_row, square, vals):
-            if const[ab] is not None:
-                groups.setdefault(ab, set()).update(b_vals)
-            elif left[ab] != list(map(at, b_row)):
-                ok = False
-                break
-        if ok and all(
-            {const[ab]}.issuperset(map(at, union)) for ab, union in groups.items()
-        ):
-            checked += n * n
-            continue
-        for b, ab, b_row in zip(elems, ab_row, square):
-            lhs = left[ab]
-            rhs = list(map(at, b_row))
+        hits: dict[int, set] = {}  # t -> {y : row[y] == t}, built when first needed
+        for b, ab, b_row, b_vals in zip(elems, ab_row, square, vals):
+            t = const[ab]
+            if t is not None:
+                if t not in hits:
+                    hits[t] = {y for y, z in enumerate(row) if z == t}
+                if b_vals <= hits[t]:
+                    checked += n
+                    continue
+            lhs, rhs = left[ab], list(map(row.__getitem__, b_row))
             if lhs != rhs:
                 c = next(c for c in range(n) if lhs[c] != rhs[c])
-                return VerificationReport(
-                    False, checked + c, (a, b, elems[c]), note="associativity failed"
-                )
+                return VerificationReport(False, checked + c, (a, b, elems[c]),
+                                          note="associativity failed")
             checked += n
     return VerificationReport(True, checked, note=f"{len(elems)} elements, bound={universe.bound}")
 
@@ -308,18 +290,10 @@ def check_chain_census_invariance(
         )
     m1 = maximal_chain_census(f1, bound)
     m2 = maximal_chain_census(f2, bound)
-    diverging = sorted(L for L in set(m1) | set(m2) if m1.get(L, 0) != m2.get(L, 0))
-    if diverging:
-        L = diverging[0]
-        return VerificationReport(
-            True,
-            len(m1) + len(m2),
-            note=f"not translates; maximal chain censuses diverge at length {L}: "
-            f"{m1.get(L, 0)} vs {m2.get(L, 0)}",
-        )
-    return VerificationReport(
-        False,
-        len(m1) + len(m2),
-        (m1, m2),
-        note="not translates, but no census divergence up to this bound; increase it",
-    )
+    sizes = len(m1) + len(m2)
+    L = min((L for L in m1.keys() | m2.keys() if m1.get(L, 0) != m2.get(L, 0)), default=None)
+    if L is None:
+        note = "not translates, but no census divergence up to this bound; increase it"
+        return VerificationReport(False, sizes, (m1, m2), note=note)
+    return VerificationReport(True, sizes, note=f"not translates; maximal chain censuses "
+                              f"diverge at length {L}: {m1.get(L, 0)} vs {m2.get(L, 0)}")

@@ -1,14 +1,20 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from brandt_omega.brandt import parse_brandt
-from brandt_omega.cli import main, parse_brandt_list, parse_nbhd
-from brandt_omega.core import parse_elem
+from brandt_omega.brandt import BRANDT, BrandtElem, parse_brandt
+from brandt_omega.cli import _report, main, parse_brandt_list, parse_nbhd
+from brandt_omega.core import ATOMS, ZERO, AtomElem, parse_elem
 from brandt_omega.errors import ParseError
 from brandt_omega.families import parse_support
+from brandt_omega.report import VerificationReport
 from brandt_omega.topology import AcNbhd, Tau1Nbhd
 
 
@@ -197,6 +203,31 @@ class TestVerify:
             "embedding-homomorphism", "restricted-closure",
         ]
         assert all(r["passed"] for r in reports)
+
+    @pytest.mark.parametrize("kind, counterexample, text", [
+        (BRANDT, (BrandtElem(1, 0, 2), ZERO), "(1;0;2) O"),
+        (ATOMS, (AtomElem(1, 0, 2), ZERO), "(1,0,2) 0"),
+    ], ids=["brandt", "atoms"])
+    def test_failing_report_in_kind_notation(self, capsys, kind, counterexample, text):
+        # no CLI input reaches a failing line with the true product, so the
+        # report helper is called directly
+        report = VerificationReport(False, 5, counterexample, note="x")
+        assert _report(argparse.Namespace(output="text"), "inversion", report, kind) is False
+        assert capsys.readouterr().out == f"inversion: fail (counterexample={text}; note=x)\n"
+
+
+class TestVerifySweepScript:
+    ROOT = Path(__file__).resolve().parent.parent
+
+    @pytest.mark.parametrize("bound", ["-1", "x"])
+    def test_bad_bound_is_a_usage_error(self, bound):
+        src = str(self.ROOT / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, str(self.ROOT / "scripts" / "verify_sweep.py"),
+                               bound], capture_output=True, text=True, env=env)
+        assert done.returncode == 2 and done.stdout == ""
+        assert "usage:" in done.stderr and "Traceback" not in done.stderr
 
 
 class TestBoundary:

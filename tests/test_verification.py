@@ -21,10 +21,11 @@ from brandt_omega.core import (
     nat_leq_definitional,
 )
 from brandt_omega.errors import InvalidElementError, NotTranslateEquivalentError
-from brandt_omega.families import AtomicFamily, SupportSet
+from brandt_omega.families import AtomicFamily, SupportSet, parse_family
 from brandt_omega.report import VerificationReport
 from brandt_omega.topology import Tau1Nbhd, tau1_self_product_check
 from brandt_omega.verification import (
+    VERIFY_CHECKS,
     BoundedUniverse,
     check_associativity,
     check_chain_census_invariance,
@@ -251,6 +252,41 @@ class TestAssociativity:
         expected = naive_associativity(u, product)
         assert expected[0] is associative
         assert outcome(check_associativity(u, product=product)) == expected
+
+
+class TestVerifyCheckCounts:
+    """Every `verify` sweep passes on the supports of scripts/verify_sweep.py
+    at bound 4 with a `checked` count from its closed form, so a change that
+    sweeps less (or more) shows here."""
+
+    B = 4
+    # support text -> its atoms up to B, written out by hand
+    ATOMS_UPTO_B = {"0": (0,), "0,1,3": (0, 1, 3), "2,5": (2,), "0,+4": (0, 4), "1,2,+6": (1, 2)}
+
+    @pytest.mark.parametrize("text", ATOMS_UPTO_B)
+    def test_checked_is_the_closed_form(self, text):
+        b, atoms = self.B, self.ATOMS_UPTO_B[text]
+
+        def upto(m):
+            return sum(1 for k in atoms if k <= m)
+
+        N = 1 + (b + 1) ** 2 * upto(b)  # the pair-with-atom window
+        idems = 1 + (b + 1) * upto(b)  # its idempotents, I
+        R = 1 + sum(upto(min(r, c)) for r in range(b + 1) for c in range(b + 1))
+        expected = {
+            "associativity": N ** 3,
+            "inverse-axioms": N + idems ** 2,
+            "order-equivalence": N ** 2,
+            "embedding-homomorphism": N ** 2,
+            "restricted-closure": R ** 2,
+        }
+        fam = parse_family(text)
+        got = {}
+        for name, run, _kind in VERIFY_CHECKS:
+            r = run(fam, b)
+            assert r.passed, (name, r)
+            got[name] = r.checked
+        assert got == expected
 
 
 class TestInverseAxioms:

@@ -8,14 +8,21 @@ import sys
 
 from brandt_omega.brandt import fiber
 from brandt_omega.core import AtomElem, format_elem, idempotent_chain_census, maximal_chain_down
+from brandt_omega.errors import ParseError
 from brandt_omega.families import AtomicFamily, parse_support
 from brandt_omega.verification import maximal_chain_census
+
+USAGE = 'usage: chain_gallery.py [support ...]   (supports such as "0,1,3" or "0,+4")'
 
 
 def main():
     supports = sys.argv[1:] or ["0,1,3", "0,2", "2,3,5", "0,+4"]
-    for text in supports:
-        fam = AtomicFamily(parse_support(text))
+    try:
+        families = [(text, AtomicFamily(parse_support(text))) for text in supports]
+    except ParseError:
+        print(USAGE, file=sys.stderr)
+        sys.exit(2)
+    for text, fam in families:
         print(f"== support {text} ==")
         ks = fam.support.upto(max(6, fam.support.minimum + 2))
         for k in ks[:4]:

@@ -19,7 +19,6 @@ from .brandt import (
 )
 from .core import (
     AtomElem,
-    SetElem,
     ZERO,
     Zero,
     elements_upto,
@@ -30,7 +29,6 @@ from .core import (
     is_idempotent,
     maximal_chain_down,
     multiply,
-    multiply_general,
     nat_leq,
     nat_leq_definitional,
     parse_elem,
@@ -52,12 +50,10 @@ from .errors import (
 )
 from .families import (
     AtomicFamily,
-    GeneralFamily,
     SupportSet,
     are_translate_equivalent,
     parse_family,
     parse_support,
-    validate_omega_closed,
 )
 from .report import VerificationReport
 from .topology import (

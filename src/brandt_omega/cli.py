@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--elem", required=True, help="translating element (row;val;col)")
 
     q = command(topo_sub, "t1-check", "threshold-neighborhood continuity", _cmd_t1_check, bound=True)
-    q.add_argument("--n", type=int, required=True, help="threshold of the neighborhood")
+    q.add_argument("--n", type=_natural, required=True, help="threshold of the neighborhood")
     q.add_argument("--elem", default=None, help="optional translating element")
 
     q = command(topo_sub, "prop49", "neighborhood avoids all phi/psi preimages of M", _cmd_prop49,

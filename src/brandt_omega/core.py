@@ -2,8 +2,7 @@
 
 Nonzero elements multiply by the two-case rule on the (i, j) pairs; the
 product survives exactly when j1 + k1 == i2 + k2, otherwise it falls into
-the zero.  A set-valued variant implements the product over general
-families and doubles as the oracle for the singleton case.
+the zero.
 """
 
 from __future__ import annotations
@@ -12,22 +11,33 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .errors import InvalidElementError, ParseError
-from .families import AtomicFamily, GeneralFamily, nat
+from .families import AtomicFamily, nat
 
 
-class Zero:
-    """Absorbing zero, a singleton shared by every element kind."""
+class Singleton:
+    """A class with one instance, bound in the class's module to the class
+    name in upper case, which is also its repr.  Copies and pickles of the
+    instance are the instance itself."""
 
     __slots__ = ()
     _instance = None
 
-    def __new__(cls) -> "Zero":
+    def __new__(cls):
         if cls._instance is None:
             cls._instance = super().__new__(cls)
         return cls._instance
 
     def __repr__(self) -> str:
-        return "ZERO"
+        return type(self).__name__.upper()
+
+    def __reduce__(self) -> str:
+        return repr(self)  # the module-level name, for every pickle protocol
+
+
+class Zero(Singleton):
+    """Absorbing zero, a singleton shared by every element kind."""
+
+    __slots__ = ()
 
 
 ZERO = Zero()
@@ -43,18 +53,6 @@ class AtomElem:
 
 
 Elem = Zero | AtomElem
-
-
-@dataclass(frozen=True, slots=True)
-class SetElem:
-    """Nonzero element (i, j, F) over a general family; F is never empty."""
-
-    i: int
-    j: int
-    members: frozenset[int]
-
-
-GeneralElem = Zero | SetElem
 
 
 def validate_elem(x: Elem, f: AtomicFamily) -> None:
@@ -82,42 +80,6 @@ def multiply(a: Elem, b: Elem, f: AtomicFamily) -> Elem:
     validate_elem(a, f)
     validate_elem(b, f)
     return _mul(a, b)
-
-
-def _validate_general(x: GeneralElem, fam: GeneralFamily) -> None:
-    if x is ZERO:
-        if frozenset() not in fam:
-            raise InvalidElementError("family has no empty member, so no zero")
-        return
-    if not x.members:
-        raise InvalidElementError("empty member set must be the zero")
-    if x.members not in fam:
-        raise InvalidElementError(f"{set(x.members)} is not a family member")
-
-
-def multiply_general(a: GeneralElem, b: GeneralElem, fam: GeneralFamily) -> GeneralElem:
-    """Set-valued product: the intersection of suitably shifted members.
-
-    Collapses to the zero exactly when the empty set is a family member and
-    the resulting set is empty.
-    """
-    _validate_general(a, fam)
-    _validate_general(b, fam)
-    if a is ZERO or b is ZERO:
-        return ZERO
-    if a.j <= b.i:
-        shift = a.j - b.i
-        third = frozenset(x + shift for x in a.members) & b.members
-        i, j = a.i - a.j + b.i, b.j
-    else:
-        shift = b.i - a.j
-        third = a.members & frozenset(x + shift for x in b.members)
-        i, j = a.i, a.j - b.i + b.j
-    if not third:
-        if frozenset() in fam:
-            return ZERO
-        raise InvalidElementError("product set is empty but the family has no empty member")
-    return SetElem(i, j, third)
 
 
 def invert(x: Elem) -> Elem:

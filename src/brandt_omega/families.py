@@ -4,8 +4,6 @@ An atomic family is {emptyset} together with singletons {k}; only the
 support (the set of all k that occur) is stored.  Supports are finite
 sorted sets, optionally extended by a cofinal tail "every n >= t", which
 makes the infinite case representable without symbolic machinery.
-General set-valued families appear only in the omega-closedness
-validator and in the set-valued product oracle.
 """
 
 from __future__ import annotations
@@ -173,54 +171,9 @@ class AtomicFamily:
         k0 = self.support.minimum
         return AtomicFamily(self.support.shift(k0)), k0
 
-    def as_general(self, upto: int) -> GeneralFamily:
-        """The induced set-valued family, singletons truncated to <= upto."""
-        members = [frozenset()]
-        members.extend(frozenset([k]) for k in self.support.upto(upto))
-        return GeneralFamily(tuple(members))
-
 
 def parse_family(text: str) -> AtomicFamily:
     return AtomicFamily(parse_support(text))
-
-
-@dataclass(frozen=True)
-class GeneralFamily:
-    """A finite explicit family of finite subsets of the naturals."""
-
-    members: tuple[frozenset[int], ...]
-
-    def __post_init__(self) -> None:
-        frozen = tuple(frozenset(m) for m in self.members)
-        if len(set(frozen)) != len(frozen):
-            raise FamilyError("duplicate members in family")
-        for m in frozen:
-            if any(x < 0 for x in m):
-                raise FamilyError("family members must be subsets of the naturals")
-        object.__setattr__(self, "members", frozen)
-        object.__setattr__(self, "_mset", frozenset(frozen))
-
-    def __contains__(self, s: frozenset[int]) -> bool:
-        return s in self._mset
-
-    def __iter__(self):
-        return iter(self.members)
-
-
-def validate_omega_closed(fam: GeneralFamily) -> bool:
-    """Check F1 & (-n + F2) in fam for all members and all n.
-
-    Only n up to max(F2)+1 matters: beyond it the shifted intersection is
-    constantly empty, and the max+1 case already tests membership of the
-    empty set.
-    """
-    for f1 in fam:
-        for f2 in fam:
-            top = (max(f2) + 1) if f2 else 0
-            for n in range(top + 1):
-                if f1 & frozenset(x - n for x in f2) not in fam:
-                    return False
-    return True
 
 
 def are_translate_equivalent(f1: AtomicFamily, f2: AtomicFamily) -> int | None:

@@ -23,7 +23,7 @@ from .brandt import (
     restricted_universe,
     validate_restricted,
 )
-from .core import ZERO, Zero
+from .core import ZERO, Singleton, Zero
 from .errors import InvalidElementError
 from .families import AtomicFamily
 from .report import VerificationReport, check_closed
@@ -214,19 +214,10 @@ def find_zero_witness(a: BrElem, D: list[BrElem]) -> BrElem | None:
     return None
 
 
-class Adjoined:
+class Adjoined(Singleton):
     """Extra point adjoined to the semigroup; every product with it is zero."""
 
     __slots__ = ()
-    _instance = None
-
-    def __new__(cls) -> "Adjoined":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "ADJOINED"
 
 
 ADJOINED = Adjoined()

@@ -216,18 +216,38 @@ class TestVerify:
         assert capsys.readouterr().out == f"inversion: fail (counterexample={text}; note=x)\n"
 
 
-class TestVerifySweepScript:
-    ROOT = Path(__file__).resolve().parent.parent
+ROOT = Path(__file__).resolve().parent.parent
 
+
+def run_script(name, *args):
+    """Run scripts/<name> in a fresh interpreter that imports the package from src."""
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env)
+
+
+class TestVerifySweepScript:
     @pytest.mark.parametrize("bound", ["-1", "x"])
     def test_bad_bound_is_a_usage_error(self, bound):
-        src = str(self.ROOT / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        done = subprocess.run([sys.executable, str(self.ROOT / "scripts" / "verify_sweep.py"),
-                               bound], capture_output=True, text=True, env=env)
+        done = run_script("verify_sweep.py", bound)
         assert done.returncode == 2 and done.stdout == ""
         assert "usage:" in done.stderr and "Traceback" not in done.stderr
+
+
+class TestChainGalleryScript:
+    @pytest.mark.parametrize("support", ["x", "0,1,3 3,+2"])
+    def test_bad_support_is_a_usage_error(self, support):
+        done = run_script("chain_gallery.py", *support.split())
+        assert done.returncode == 2 and done.stdout == ""
+        assert "usage:" in done.stderr and "Traceback" not in done.stderr
+
+    def test_default_run(self):
+        done = run_script("chain_gallery.py")
+        assert done.returncode == 0 and done.stderr == ""
+        assert "== support 0,1,3 ==" in done.stdout
+        assert "(0,0,3) > (2,2,1) > (3,3,0) > 0" in done.stdout
 
 
 class TestBoundary:
@@ -246,6 +266,7 @@ class TestBoundary:
         ["verify", "--family", "0,1,3", "--bound", "-1"],
         ["topo", "prop49", "--family", "0,1,3", "--nbhd", "t1:1", "--m", "(5;0;5)", "--bound", "-3"],
         ["fiber", "--family", "0", "-1", "2"],
+        ["topo", "t1-check", "--family", "0,1,3", "--n", "-1"],
     ])
     def test_negative_bound_or_coordinate_exit_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

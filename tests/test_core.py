@@ -4,7 +4,6 @@ from hypothesis import given, settings
 import strategies as sts
 from brandt_omega.core import (
     AtomElem,
-    SetElem,
     ZERO,
     elem_to_json,
     elements_upto,
@@ -15,13 +14,13 @@ from brandt_omega.core import (
     is_idempotent,
     maximal_chain_down,
     multiply,
-    multiply_general,
     nat_leq,
     nat_leq_definitional,
     parse_elem,
 )
 from brandt_omega.errors import InvalidElementError, ParseError
-from brandt_omega.families import AtomicFamily, GeneralFamily, SupportSet
+from brandt_omega.families import AtomicFamily, SupportSet
+from general_family import GeneralFamily, SetElem, as_general, multiply_general
 
 E = frozenset
 
@@ -53,7 +52,7 @@ class TestMultiply:
     def test_agrees_with_general_product(self, fe):
         fam, (a, b) = fe
         upto = 12
-        gfam = fam.as_general(upto)
+        gfam = as_general(fam, upto)
 
         def lift(x):
             return ZERO if x is ZERO else SetElem(x.i, x.j, E([x.k]))
@@ -81,6 +80,12 @@ class TestMultiplyGeneral:
             multiply_general(SetElem(0, 0, E([7])), ZERO, self.FAM)
         with pytest.raises(InvalidElementError):
             multiply_general(ZERO, ZERO, GeneralFamily((E([0]),)))
+
+    def test_product_set_outside_the_family_rejected(self):
+        # {0,1} against its shift by one gives {0}, which {∅,{0,1}} lacks
+        fam = GeneralFamily((E(), E([0, 1])))
+        with pytest.raises(InvalidElementError, match=r"^product set \{0\} is not a family member$"):
+            multiply_general(SetElem(0, 1, E([0, 1])), SetElem(0, 0, E([0, 1])), fam)
 
 
 class TestInverse:

@@ -5,13 +5,12 @@ import strategies as sts
 from brandt_omega.errors import FamilyError, ParseError
 from brandt_omega.families import (
     AtomicFamily,
-    GeneralFamily,
     SupportSet,
     are_translate_equivalent,
     parse_family,
     parse_support,
-    validate_omega_closed,
 )
+from general_family import GeneralFamily, as_general, validate_omega_closed
 
 E = frozenset
 
@@ -149,7 +148,7 @@ class TestOmegaClosed:
 
     @given(sts.families())
     def test_induced_family_is_closed(self, fam):
-        assert validate_omega_closed(fam.as_general(upto=12))
+        assert validate_omega_closed(as_general(fam, upto=12))
 
 
 def test_parse_family_roundtrip():

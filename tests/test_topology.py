@@ -1,3 +1,5 @@
+import copy
+import pickle
 from itertools import product
 
 import pytest
@@ -5,12 +7,14 @@ from hypothesis import given, settings
 
 import strategies as sts
 from brandt_omega.brandt import BrandtElem, brandt_invert, brandt_multiply, restricted_universe
-from brandt_omega.core import ZERO
+from brandt_omega import topology
+from brandt_omega.core import ZERO, Zero
 from brandt_omega.errors import InvalidElementError
 from brandt_omega.families import parse_family
 from brandt_omega.topology import (
     ADJOINED,
     AcNbhd,
+    Adjoined,
     MSeq,
     Tau1Nbhd,
     ac_complement_size,
@@ -227,6 +231,14 @@ class TestExtended:
         got = extended_multiply(BrandtElem(2, 1, 4), BrandtElem(4, 3, 5))
         assert got == BrandtElem(2, 1, 5)
 
+    def test_zero_and_adjoined_are_distinct_singletons(self):
+        assert (repr(ZERO), repr(ADJOINED), type(ZERO).__name__) == ("ZERO", "ADJOINED", "Zero")
+        assert ADJOINED is not ZERO and Zero() is ZERO and Adjoined() is ADJOINED
+        for point in (ZERO, ADJOINED):
+            assert copy.copy(point) is point and copy.deepcopy(point) is point
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(point, protocol)) is point, protocol
+
     def test_associative_with_adjoined(self, fam013):
         univ = restricted_universe(fam013, 2) + [ADJOINED]
         for a, b, c in product(univ, repeat=3):
@@ -288,31 +300,31 @@ def _scan(items, bad):
     return True, len(items)
 
 
-def naive_shift_ac(excluded, x, f, bound):
+def naive_shift_ac(excluded, x, f, bound, mul=brandt_multiply):
     K = {x.row, x.col} | {c for pair in excluded for c in pair}
     members = [
         e for e in restricted_universe(f, bound)
         if e is ZERO or not (e.row in K and e.col in K)
     ]
     passed, checked = _scan(members, lambda e: not (
-        _ac_in(excluded, brandt_multiply(e, x)) and _ac_in(excluded, brandt_multiply(x, e))
+        _ac_in(excluded, mul(e, x)) and _ac_in(excluded, mul(x, e))
     ))
     note = f"U_K sweep with |K|={len(K)}, bound={bound}" if passed else "translate left the neighborhood"
     return passed, checked, note
 
 
-def naive_inversion_ac(excluded, f, bound):
+def naive_inversion_ac(excluded, f, bound, inv=brandt_invert):
     transposed = {(c, r) for r, c in excluded}
     members = [e for e in restricted_universe(f, bound) if _ac_in(transposed, e)]
-    passed, checked = _scan(members, lambda e: not _ac_in(excluded, brandt_invert(e)))
+    passed, checked = _scan(members, lambda e: not _ac_in(excluded, inv(e)))
     return passed, checked, f"transposed sweep, bound={bound}" if passed else "inverse left the neighborhood"
 
 
-def naive_annihilation(x, f, bound):
+def naive_annihilation(x, f, bound, mul=brandt_multiply):
     n = max(x.row, x.col) + 1
     members = [e for e in restricted_universe(f, bound) if _t1_in(n, e)]
     passed, checked = _scan(members, lambda e: not (
-        brandt_multiply(x, e) is ZERO and brandt_multiply(e, x) is ZERO
+        mul(x, e) is ZERO and mul(e, x) is ZERO
     ))
     return passed, checked, f"n={n}, bound={bound}" if passed else f"translate by U_{n} member is nonzero"
 
@@ -325,7 +337,7 @@ def naive_self_product(n, f, bound):
     return passed, checked, note
 
 
-def naive_prop49(contains, M, f, bound):
+def naive_prop49(contains, M, f, bound, phi=phi):
     return not any(
         contains(e) and (phi(e) in M or psi(e) in M) for e in restricted_universe(f, bound)
     )
@@ -383,6 +395,56 @@ class TestSweepsAgainstNaive:
                 assert got == naive_prop49(lambda e: _ac_in(set(excluded), e), set(M), f, bound)
 
 
+class TestSeededDefects:
+    """Each topology sweep against a defect seeded through a patched module
+    global, pinned to the naive oracle above run with the same defect."""
+
+    F, BOUND = parse_family("0,1,3"), 8
+
+    def test_shift_continuity_ac(self, monkeypatch):
+        u, x = AcNbhd(frozenset({(2, 5)})), BrandtElem(3, 1, 4)
+        members = [e for e in restricted_universe(self.F, self.BOUND)
+                   if e is ZERO or not {e.row, e.col} <= {2, 3, 4, 5}]
+        p = members[len(members) // 2]
+        mul = lambda a, b: BrandtElem(2, 0, 5) if (a, b) == (p, x) else brandt_multiply(a, b)
+        monkeypatch.setattr(topology, "brandt_multiply", mul)
+        r = check_shift_continuity_ac(u, x, self.F, self.BOUND)
+        assert not r.passed and r.counterexample == (p, x, BrandtElem(2, 0, 5))
+        assert _triple(r) == naive_shift_ac({(2, 5)}, x, self.F, self.BOUND, mul)
+
+    def test_inversion_ac(self, monkeypatch):
+        # the identity for inversion keeps (2, v, 5), which u excludes
+        monkeypatch.setattr(topology, "brandt_invert", lambda e: e)
+        r = check_inversion_ac(AcNbhd(frozenset({(2, 5)})), self.F, self.BOUND)
+        assert not r.passed and r.counterexample == (BrandtElem(2, 0, 5),) * 2
+        assert _triple(r) == naive_inversion_ac({(2, 5)}, self.F, self.BOUND, lambda e: e)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_annihilation(self, monkeypatch, side):
+        x = BrandtElem(2, 1, 4)
+        members = Tau1Nbhd(5).members(self.F, self.BOUND)
+        p = members[len(members) // 3]
+        pair = (x, p) if side == "left" else (p, x)
+        mul = lambda a, b: p if (a, b) == pair else brandt_multiply(a, b)
+        monkeypatch.setattr(topology, "brandt_multiply", mul)
+        r = tau1_annihilation_check(x, self.F, self.BOUND)
+        assert not r.passed and r.counterexample == (x, p, p)
+        assert _triple(r) == naive_annihilation(x, self.F, self.BOUND, mul)
+
+    @pytest.mark.parametrize("u, contains, M", [
+        (Tau1Nbhd(3), lambda e: _t1_in(3, e), [BrandtElem(2, 0, 2)]),
+        (AcNbhd(frozenset({(5, j) for j in range(9)} | {(i, 5) for i in range(9)})),
+         lambda e: e is ZERO or 5 not in (e.row, e.col), [BrandtElem(5, 0, 5)]),
+    ], ids=["t1", "ac"])
+    def test_prop49(self, monkeypatch, u, contains, M):
+        # phi one row too low: a member with row 3 (t1) or 6 (ac) reaches M
+        assert check_prop49_condition(u, M, self.F, self.BOUND) is True
+        low = lambda e: ZERO if e is ZERO else BrandtElem(e.row - 1, e.val, e.row - 1)
+        monkeypatch.setattr(topology, "phi", low)
+        assert check_prop49_condition(u, M, self.F, self.BOUND) is False
+        assert naive_prop49(contains, set(M), self.F, self.BOUND, low) is False
+
+
 class TestWindowCalls:
     """perfbench/child.py counts the calls each query makes to the module
     global `topology.restricted_universe`.  An `ac` sweep reads its window
@@ -397,7 +459,6 @@ class TestWindowCalls:
         (["prop49", "--nbhd", "ac:(5,5)", "--m", "(5;0;5)"], 1),
     ], ids=["ac-check", "t1-check-elem", "t1-self-product", "prop49-t1", "prop49-ac"])
     def test_restricted_universe_calls_per_query(self, monkeypatch, capsys, argv, calls):
-        from brandt_omega import topology
         from brandt_omega.cli import main
 
         seen = []

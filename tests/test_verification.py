@@ -1,9 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 
 from brandt_omega import brandt, topology, verification
 from brandt_omega.brandt import (
+    BRANDT,
     BrandtElem,
     brandt_multiply,
     embed,
@@ -18,6 +20,7 @@ from brandt_omega.core import (
     _mul,
     elements_upto,
     multiply,
+    nat_leq,
     nat_leq_definitional,
 )
 from brandt_omega.errors import InvalidElementError, NotTranslateEquivalentError
@@ -299,6 +302,47 @@ class TestInverseAxioms:
         u = BoundedUniverse(fam013, 0, ATOMS, (ZERO,))
         assert check_inverse_axioms(u).passed
 
+    @staticmethod
+    def naive(elements, mul, inv, idem):
+        """Both axioms per element, then every ordered pair of idempotents:
+        (passed, checked, counterexample, note)."""
+        for pos, x in enumerate(elements):
+            if mul(mul(x, inv(x)), x) != x or mul(mul(inv(x), x), inv(x)) != inv(x):
+                return False, pos, (x,), "inverse axiom failed"
+        pairs = [(e, g) for e in elements if idem(e) for g in elements if idem(g)]
+        for pos, (e, g) in enumerate(pairs):
+            if mul(e, g) != mul(g, e):
+                return False, len(elements) + pos, (e, g), "idempotents do not commute"
+        return True, len(elements) + len(pairs), None, None
+
+    # the defects reach the sweep through a replaced kind, never a patched global
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", [ATOMS, BRANDT], ids=["atoms", "brandt"])
+    def test_broken_axiom_caught(self, fam013, kind, seed):
+        elems = (elements_upto if kind is ATOMS else restricted_universe)(fam013, 3)
+        x = random.Random(seed).choice(elems[1:])
+        corrupt = sent_to(kind.mul, x, kind.inv(x), ZERO)  # x x^-1 x becomes the zero
+        u = BoundedUniverse(fam013, 3, dataclasses.replace(kind, mul=corrupt), tuple(elems))
+        r = check_inverse_axioms(u)
+        assert (r.passed, r.checked, r.counterexample, r.note) == self.naive(
+            elems, corrupt, kind.inv, kind.idem)
+        # x^-1 meets the pair (x, x^-1) too, so it fails first when it comes first
+        assert r.counterexample in ((x,), (kind.inv(x),))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", [ATOMS, BRANDT], ids=["atoms", "brandt"])
+    def test_noncommuting_idempotents_caught(self, fam013, kind, seed):
+        elems = (elements_upto if kind is ATOMS else restricted_universe)(fam013, 3)
+        e, g = random.Random(seed).sample([x for x in elems[1:] if kind.idem(x)], 2)
+        # the axioms never multiply two distinct idempotents, so only the
+        # commuting pairs can see this
+        corrupt = corrupted_at(kind.mul, e, g, e)
+        u = BoundedUniverse(fam013, 3, dataclasses.replace(kind, mul=corrupt), tuple(elems))
+        r = check_inverse_axioms(u)
+        assert (r.passed, r.checked, r.counterexample, r.note) == self.naive(
+            elems, corrupt, kind.inv, kind.idem)
+        assert not r.passed and r.counterexample in ((e, g), (g, e))
+
 
 class TestOrderEquivalence:
     @pytest.mark.parametrize("support", [(0, 1, 3), (0,)])
@@ -338,6 +382,50 @@ class TestChainStructure:
         r = check_chain_structure(BoundedUniverse.atoms(fam, 3))
         assert r.passed
         assert "cumulative" in r.note and "per-step" in r.note
+
+    @staticmethod
+    def per_step_chain(x, f):
+        """x, then one link per smaller atom, each shifted from x by its own
+        step to the atom above it instead of by the running sum."""
+        ks = f.support.upto(x.k)
+        steps = zip(ks[:0:-1], ks[-2::-1])  # (atom, the atom below it), descending
+        return [x, *(AtomElem(x.i + hi - lo, x.j + hi - lo, lo) for hi, lo in steps), ZERO]
+
+    @staticmethod
+    def naive(universe, chain_of):
+        """Every chain link against the definitional order, every element
+        checked as a point between: (passed, checked, counterexample, note)."""
+        f, elems = universe.family, universe.elements
+
+        def below(a, b):
+            return nat_leq_definitional(a, b, f)
+
+        checked = 0
+        for x in elems[1:]:
+            chain = chain_of(x, f)
+            if len(chain) != f.support.index_of(x.k) + 2 or chain[-1] is not ZERO:
+                return False, checked, (x,), "chain length mismatch"
+            for hi, lo in zip(chain, chain[1:]):
+                if lo == hi or not below(lo, hi):
+                    return False, checked, (hi, lo), "adjacent link not below"
+                for z in elems:
+                    if z not in (hi, lo) and below(lo, z) and below(z, hi):
+                        return False, checked, (lo, z, hi), "element strictly between chain links"
+                checked += 1
+        return True, checked, None, None
+
+    @pytest.mark.parametrize("explicit, tail, bound", [((0, 1, 3), None, 3), ((0,), 4, 5)],
+                             ids=["013@3", "0,+4@5"])
+    def test_per_step_shifts_caught(self, monkeypatch, explicit, tail, bound):
+        u = BoundedUniverse.atoms(AtomicFamily(SupportSet(explicit, tail)), bound)
+        monkeypatch.setattr(verification, "maximal_chain_down", self.per_step_chain)
+        r = check_chain_structure(u)
+        expected = self.naive(u, self.per_step_chain)
+        assert not expected[0]
+        assert (r.passed, r.checked, r.counterexample, r.note) == expected
+        # per-step and cumulative agree on the first link; the second is off
+        hi, lo = r.counterexample
+        assert r.note == "adjacent link not below" and not nat_leq(lo, hi)
 
 
 class TestIsomorphismTransport:

@@ -14,7 +14,7 @@ from .core import (
     ATOMS, AtomElem, Elem, ElemKind, ZERO, Zero, _parse_triple, elements_upto, validate_elem,
 )
 from .errors import InvalidElementError, NotInImageError
-from .families import AtomicFamily
+from .families import AtomicFamily, _is_natural, is_natural
 from .report import VerificationReport, check_closed, check_injective_homomorphism
 
 class BrandtElem(NamedTuple):
@@ -56,12 +56,13 @@ def brandt_is_idempotent(e: BrElem) -> bool:
 def in_restricted(e: BrElem, f: AtomicFamily) -> bool:
     """Membership in the restricted subsemigroup.
 
-    Closed form for "some (i, j, {k}) maps onto e": val in support and
-    val <= row and val <= col.
+    Closed form for "some (i, j, {k}) maps onto e": row and col naturals,
+    val in support and val <= row and val <= col.
     """
     if e is ZERO:
         return True
-    return f.contains_atom(e.val) and e.val <= e.row and e.val <= e.col
+    return (_is_natural(e.row) and _is_natural(e.col) and e.val in f.support
+            and e.val <= e.row and e.val <= e.col)
 
 
 def validate_restricted(e: BrElem, f: AtomicFamily) -> None:
@@ -93,7 +94,7 @@ def embed_inverse(e: BrElem, f: AtomicFamily) -> Elem:
 def restricted_universe(f: AtomicFamily, bound: int) -> list[BrElem]:
     """The zero plus every restricted element with row, col <= bound, in
     sorted (row, val, col) order."""
-    if bound < 0:
+    if not is_natural(bound):
         raise InvalidElementError("bound must be a natural")
     out: list[BrElem] = [ZERO]
     for row in range(bound + 1):

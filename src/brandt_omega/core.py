@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .errors import InvalidElementError, ParseError
-from .families import AtomicFamily, nat
+from .families import AtomicFamily, _is_natural, is_natural, nat
 
 
 class Singleton:
@@ -58,9 +58,10 @@ Elem = Zero | AtomElem
 def validate_elem(x: Elem, f: AtomicFamily) -> None:
     if x is ZERO:
         return
-    if x.i < 0 or x.j < 0:
-        raise InvalidElementError(f"negative coordinate in {format_elem(x)}")
-    if not f.contains_atom(x.k):
+    if not (_is_natural(x.i) and _is_natural(x.j)):
+        fault = "negative" if type(x.i) is type(x.j) is int else "non-natural"
+        raise InvalidElementError(f"{fault} coordinate in {format_elem(x)}")
+    if x.k not in f.support:
         raise InvalidElementError(f"atom {x.k} is not in support {f.support}")
 
 
@@ -170,12 +171,11 @@ def maximal_chain_down(x: Elem, f: AtomicFamily) -> list[Elem]:
 def census_atoms(f: AtomicFamily, bound: int) -> list[int]:
     """Atoms entering a census at this bound: the whole support when it is
     finite, the first bound+1 elements otherwise."""
-    if bound < 0:
+    if not is_natural(bound):
         raise InvalidElementError("bound must be a natural")
-    sup = f.support
-    if sup.is_finite:
-        return list(sup.explicit)
-    return sup.prefix(bound + 1)
+    if f.support.tail is None:
+        return list(f.support.explicit)
+    return [f.support.kth(m) for m in range(bound + 1)]
 
 
 def idempotent_chain_census(f: AtomicFamily, bound: int) -> dict[int, int]:
@@ -185,7 +185,7 @@ def idempotent_chain_census(f: AtomicFamily, bound: int) -> dict[int, int]:
 
 def elements_upto(f: AtomicFamily, bound: int) -> list[Elem]:
     """The zero plus every (i, j, k) with i, j <= bound and atom k <= bound."""
-    if bound < 0:
+    if not is_natural(bound):
         raise InvalidElementError("bound must be a natural")
     out: list[Elem] = [ZERO]
     ks = f.support.upto(bound)

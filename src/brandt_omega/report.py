@@ -23,7 +23,7 @@ class VerificationReport:
         if not self.passed and self.counterexample is None:
             raise ValueError("failed report must carry a counterexample")
 
-    def to_json_dict(self, elem_json: Callable[[Any], Any] = str) -> dict:
+    def to_json_dict(self, elem_json: Callable[[Any], Any]) -> dict:
         ce = None
         if self.counterexample is not None:
             ce = [elem_json(e) for e in self.counterexample]

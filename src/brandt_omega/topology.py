@@ -25,7 +25,7 @@ from .brandt import (
 )
 from .core import ZERO, Singleton, Zero
 from .errors import InvalidElementError
-from .families import AtomicFamily
+from .families import AtomicFamily, _is_natural, is_natural
 from .report import VerificationReport, check_closed
 
 
@@ -36,10 +36,9 @@ class AcNbhd:
     excluded: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        pairs = frozenset((int(r), int(c)) for r, c in self.excluded)
-        if any(r < 0 or c < 0 for r, c in pairs):
+        object.__setattr__(self, "excluded", frozenset(self.excluded))
+        if not all(_is_natural(r) and _is_natural(c) for r, c in self.excluded):
             raise InvalidElementError("excluded pairs must be naturals")
-        object.__setattr__(self, "excluded", pairs)
 
     def __contains__(self, e: BrElem) -> bool:
         return e is ZERO or (e.row, e.col) not in self.excluded
@@ -60,7 +59,7 @@ class Tau1Nbhd:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 0:
+        if not is_natural(self.n):
             raise InvalidElementError("threshold must be a natural")
 
     def __contains__(self, e: BrElem) -> bool:
@@ -72,7 +71,7 @@ class Tau1Nbhd:
 
         Generated directly, since the window around it is mostly discarded.
         """
-        if bound < 0:
+        if not is_natural(bound):
             raise InvalidElementError("bound must be a natural")
         out: list[BrElem] = [ZERO]
         for row in range(self.n, bound + 1):
@@ -242,15 +241,11 @@ class MSeq:
     def __post_init__(self) -> None:
         prev_top = -1
         for e in self.entries:
-            if not isinstance(e, BrandtElem):
-                raise InvalidElementError("sequence entries must be nonzero triples")
+            if not (isinstance(e, BrandtElem) and all(map(is_natural, e))):
+                raise InvalidElementError("sequence entries must be nonzero triples of naturals")
             if not (prev_top < e.row < e.col):
                 raise InvalidElementError("indices must strictly interleave")
             prev_top = e.col
-
-    def validate_over(self, f: AtomicFamily) -> None:
-        for e in self.entries:
-            validate_restricted(e, f)
 
     def __len__(self) -> int:
         return len(self.entries)

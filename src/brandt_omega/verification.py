@@ -277,7 +277,7 @@ def check_chain_census_invariance(
                 x = AtomElem(i, i, k)
                 tx = _translate(x, n)
                 if not (
-                    f2.contains_atom(tx.k)
+                    tx.k in f2.support
                     and len(maximal_chain_down(x, f1)) == len(maximal_chain_down(tx, f2))
                 ):
                     return VerificationReport(

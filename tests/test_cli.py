@@ -156,6 +156,20 @@ class TestTopo:
                            "--n", "3", "--elem", "(2;1;4)", "--bound", "10")
         assert code == 0
 
+    def test_t1_check_elem_failure_exits_1(self, capsys, monkeypatch):
+        # a seeded product sends (5;0;6)*(2;1;4) to (5;0;6), which is not the zero
+        from brandt_omega import topology
+
+        x, e = BrandtElem(2, 1, 4), BrandtElem(5, 0, 6)
+        true_mul = topology.brandt_multiply
+        monkeypatch.setattr(topology, "brandt_multiply",
+                            lambda a, b: e if (a, b) == (e, x) else true_mul(a, b))
+        code, out, _ = run(capsys, "topo", "t1-check", "--family", "0,1,3",
+                           "--n", "3", "--elem", "(2;1;4)", "--bound", "10")
+        assert code == 1
+        assert out == ("t1-continuity: fail (counterexample=(2;1;4) (5;0;6) (5;0;6); "
+                       "note=translate by U_5 member is nonzero)\n")
+
     def test_prop49(self, capsys):
         code, out, _ = run(capsys, "topo", "prop49", "--family", "0,1,3",
                            "--nbhd", "t1:1", "--m", "(5;0;5)", "--bound", "20")

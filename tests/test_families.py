@@ -2,14 +2,19 @@ import pytest
 from hypothesis import given
 
 import strategies as sts
-from brandt_omega.errors import FamilyError, ParseError
+from brandt_omega.brandt import BrandtElem, restricted_universe, validate_restricted
+from brandt_omega.core import AtomElem, census_atoms, elements_upto, validate_elem
+from brandt_omega.errors import FamilyError, InvalidElementError, ParseError
 from brandt_omega.families import (
     AtomicFamily,
     SupportSet,
     are_translate_equivalent,
+    is_natural,
     parse_family,
     parse_support,
 )
+from brandt_omega.topology import AcNbhd, MSeq, Tau1Nbhd
+from brandt_omega.verification import BoundedUniverse
 from general_family import GeneralFamily, as_general, validate_omega_closed
 
 E = frozenset
@@ -23,7 +28,7 @@ class TestSupportSet:
 
     def test_text_roundtrip(self):
         for text in ["0,1,3", "0,2,+7", "+4", "5"]:
-            assert parse_support(text).to_text() == text
+            assert str(parse_support(text)) == text
 
     @pytest.mark.parametrize("bad", ["", "abc", "+", "3,+2", "-1", "1,,2", "+3,1", "²", "0,+³"])
     def test_parse_rejects(self, bad):
@@ -50,6 +55,8 @@ class TestSupportSet:
         assert [s.kth(m) for m in range(3)] == [0, 1, 3]
         with pytest.raises(IndexError):
             s.kth(3)
+        with pytest.raises(IndexError, match="^enumeration index must be a natural$"):
+            s.kth(-1)
         t = SupportSet((0,), 5)
         assert [t.kth(m) for m in range(5)] == [0, 5, 6, 7, 8]
 
@@ -69,27 +76,58 @@ class TestSupportSet:
         t = SupportSet((0, 2), 7)
         assert t.upto(9) == [0, 2, 7, 8, 9]
         assert 2 in t and 8 in t and 5 not in t
+        # only naturals are members, although 2.0 == 2 and 8.5 > 7
+        assert 2.0 not in t and True not in SupportSet((1,)) and 8.5 not in t and "8" not in t
 
     def test_shift(self):
         assert SupportSet((2, 3, 5)).shift(2) == SupportSet((0, 1, 3))
+        assert SupportSet((), 4).shift(4) == SupportSet((), 0)
         with pytest.raises(FamilyError):
             SupportSet((2, 3)).shift(3)
 
 
-class TestNormalize:
-    def test_examples(self):
-        fam, k0 = AtomicFamily(SupportSet((2, 3, 5))).normalize()
-        assert fam.support == SupportSet((0, 1, 3)) and k0 == 2
-        fam, k0 = AtomicFamily(SupportSet((0, 1, 3))).normalize()
-        assert fam.support == SupportSet((0, 1, 3)) and k0 == 0
-        fam, k0 = AtomicFamily(SupportSet((), 4)).normalize()
-        assert fam.support == SupportSet((), 0) and k0 == 4
+F013 = AtomicFamily(SupportSet((0, 1, 3)))
+F_TAIL = AtomicFamily(SupportSet((0,), 4))
 
-    @given(sts.families())
-    def test_idempotent(self, fam):
-        normalized, _ = fam.normalize()
-        again, k0 = normalized.normalize()
-        assert k0 == 0 and again == normalized
+# Each library input that must be a natural, with the error it documents.
+NATURAL_INPUTS = [
+    ("support element", lambda x: SupportSet((0, x)), FamilyError),
+    ("support tail", lambda x: SupportSet((0,), x), FamilyError),
+    ("excluded row", lambda x: AcNbhd(frozenset({(x, 5)})), InvalidElementError),
+    ("excluded col", lambda x: AcNbhd(frozenset({(2, x)})), InvalidElementError),
+    ("threshold", Tau1Nbhd, InvalidElementError),
+    ("members bound", lambda x: Tau1Nbhd(0).members(F_TAIL, x), InvalidElementError),
+    ("census bound", lambda x: census_atoms(F_TAIL, x), InvalidElementError),
+    ("elements bound", lambda x: elements_upto(F_TAIL, x), InvalidElementError),
+    ("window bound", lambda x: restricted_universe(F_TAIL, x), InvalidElementError),
+    ("universe bound", lambda x: BoundedUniverse.atoms(F013, x), InvalidElementError),
+    ("atom i", lambda x: validate_elem(AtomElem(x, 0, 0), F_TAIL), InvalidElementError),
+    ("atom j", lambda x: validate_elem(AtomElem(0, x, 0), F_TAIL), InvalidElementError),
+    ("atom k", lambda x: validate_elem(AtomElem(0, 0, x), F_TAIL), InvalidElementError),
+    ("Brandt row", lambda x: validate_restricted(BrandtElem(x, 0, 3), F_TAIL), InvalidElementError),
+    ("Brandt val", lambda x: validate_restricted(BrandtElem(9, x, 9), F_TAIL), InvalidElementError),
+    ("Brandt col", lambda x: validate_restricted(BrandtElem(3, 0, x), F_TAIL), InvalidElementError),
+    ("sequence entry", lambda x: MSeq((BrandtElem(x, 0, 2),)), InvalidElementError),
+]
+
+
+class TestNaturalInputs:
+    def test_is_natural(self):
+        assert is_natural(0) and is_natural(7) and is_natural(10**40)
+        assert not any(map(is_natural, [-1, True, False, 2.0, 2.5, "3", None, (1,)]))
+
+    # 4.5 passes every `< 0` test and reaches the tail 4 by `>=`; True is 1.
+    @pytest.mark.parametrize("x", [True, 2.7, 4.5, "3"], ids=repr)
+    @pytest.mark.parametrize("name, call, error", NATURAL_INPUTS, ids=[c[0] for c in NATURAL_INPUTS])
+    def test_non_int_raises_the_documented_error(self, name, call, error, x):
+        with pytest.raises(error):
+            call(x)
+
+    def test_coordinate_messages(self):
+        with pytest.raises(InvalidElementError, match=r"^non-natural coordinate in \(1\.5,0,0\)$"):
+            validate_elem(AtomElem(1.5, 0, 0), F013)
+        with pytest.raises(InvalidElementError, match=r"^atom 4\.5 is not in support 0,\+4$"):
+            validate_elem(AtomElem(0, 0, 4.5), F_TAIL)
 
 
 class TestTranslateEquivalence:
@@ -126,7 +164,7 @@ class TestTranslateEquivalence:
         f2 = AtomicFamily(f1.support.shift(d))
         n12 = are_translate_equivalent(f1, f2)
         assert n12 == d
-        f3, k0 = f2.normalize()
+        f3 = AtomicFamily(f2.support.shift(f2.support.minimum))
         n23 = are_translate_equivalent(f2, f3)
         assert are_translate_equivalent(f1, f3) == n12 + n23
 

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 from itertools import product
 
 import pytest
@@ -127,6 +128,10 @@ class TestTau1:
                 u = Tau1Nbhd(n)
                 want = [ZERO] + [e for e in window if e in u]
                 assert u.members(f, bound) == want, (bound, n)
+
+    def test_rejects_a_negative_threshold(self):
+        with pytest.raises(InvalidElementError, match="^threshold must be a natural$"):
+            Tau1Nbhd(-1)
 
     def test_members_reject_a_negative_bound(self, fam013):
         with pytest.raises(InvalidElementError, match="bound must be a natural"):
@@ -270,11 +275,11 @@ class TestMSeq:
         with pytest.raises(InvalidElementError):
             MSeq((BrandtElem(1, 0, 4), BrandtElem(3, 0, 5)))  # overlap
 
-    def test_validate_over(self, fam013):
-        MSeq(self.ENTRIES).validate_over(fam013)
-        bad = MSeq((BrandtElem(1, 0, 2), BrandtElem(3, 2, 4)))
-        with pytest.raises(InvalidElementError):
-            bad.validate_over(fam013)
+    @pytest.mark.parametrize("entry", [ZERO, (1, 0, 2), BrandtElem(1.5, 0, 2),
+                                       BrandtElem(1, -1, 2), BrandtElem(1, 0, True)])
+    def test_entries_are_nonzero_triples_of_naturals(self, entry):
+        with pytest.raises(InvalidElementError, match="^sequence entries must be nonzero triples"):
+            MSeq((entry,))
 
 
 # --- sweeps against a naive enumeration -------------------------------------
@@ -329,10 +334,10 @@ def naive_annihilation(x, f, bound, mul=brandt_multiply):
     return passed, checked, f"n={n}, bound={bound}" if passed else f"translate by U_{n} member is nonzero"
 
 
-def naive_self_product(n, f, bound):
+def naive_self_product(n, f, bound, mul=brandt_multiply):
     members = [e for e in restricted_universe(f, bound) if _t1_in(n, e)]
     pairs = [(a, b) for a in members for b in members]
-    passed, checked = _scan(pairs, lambda ab: not _t1_in(n, brandt_multiply(*ab)))
+    passed, checked = _scan(pairs, lambda ab: not _t1_in(n, mul(*ab)))
     note = f"n={n}, {len(members)} members, bound={bound}" if passed else "self-product left the neighborhood"
     return passed, checked, note
 
@@ -369,7 +374,7 @@ class TestSweepsAgainstNaive:
 
     def test_annihilation(self, support, bound):
         f = parse_family(support)
-        for x in _translators(f) + [BrandtElem(0, 0, 1) if f.contains_atom(0) else BrandtElem(2, 2, 3)]:
+        for x in _translators(f) + [BrandtElem(0, 0, 1) if 0 in f.support else BrandtElem(2, 2, 3)]:
             assert _triple(tau1_annihilation_check(x, f, bound)) == naive_annihilation(x, f, bound), x
 
     def test_self_product_and_combined(self, support, bound):
@@ -430,6 +435,31 @@ class TestSeededDefects:
         r = tau1_annihilation_check(x, self.F, self.BOUND)
         assert not r.passed and r.counterexample == (x, p, p)
         assert _triple(r) == naive_annihilation(x, self.F, self.BOUND, mul)
+
+    def test_continuity_tau1_stops_at_annihilation(self, monkeypatch):
+        # the first of the two sweeps fails, so its report is the result
+        x = BrandtElem(2, 1, 4)
+        members = Tau1Nbhd(5).members(self.F, self.BOUND)
+        p = members[len(members) // 2]
+        mul = lambda a, b: p if (a, b) == (p, x) else brandt_multiply(a, b)
+        monkeypatch.setattr(topology, "brandt_multiply", mul)
+        r = check_continuity_tau1(Tau1Nbhd(3), x, self.F, self.BOUND)
+        assert not r.passed and r.counterexample == (x, p, p)
+        assert _triple(r) == naive_annihilation(x, self.F, self.BOUND, mul)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_continuity_tau1_stops_at_self_product(self, monkeypatch, seed):
+        # annihilation passes (x is in no corrupted pair); the self-product fails
+        x, u = BrandtElem(2, 1, 4), Tau1Nbhd(3)
+        rng = random.Random(seed)
+        members = u.members(self.F, self.BOUND)
+        p, q = rng.choice(members), rng.choice(members)
+        outside = BrandtElem(1, 5, 0)
+        mul = lambda a, b: outside if (a, b) == (p, q) else brandt_multiply(a, b)
+        monkeypatch.setattr(topology, "brandt_multiply", mul)
+        r = check_continuity_tau1(u, x, self.F, self.BOUND)
+        assert not r.passed and r.counterexample == (p, q)
+        assert _triple(r) == naive_self_product(3, self.F, self.BOUND, mul)
 
     @pytest.mark.parametrize("u, contains, M", [
         (Tau1Nbhd(3), lambda e: _t1_in(3, e), [BrandtElem(2, 0, 2)]),

@@ -427,6 +427,46 @@ class TestChainStructure:
         hi, lo = r.counterexample
         assert r.note == "adjacent link not below" and not nat_leq(lo, hi)
 
+    @staticmethod
+    def seeded_chain(p, f, links):
+        """maximal_chain_down with the chain of p replaced by links(chain)."""
+        true_chain = verification.maximal_chain_down
+
+        def chain_of(x, fam):
+            chain = true_chain(x, fam)
+            return links(chain) if x == p else chain
+
+        return chain_of
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("explicit, tail, bound", [((0, 1, 3), None, 3), ((0,), 4, 4)],
+                             ids=["013@3", "0,+4@4"])
+    def test_length_mismatch_caught(self, monkeypatch, seed, explicit, tail, bound):
+        u = BoundedUniverse.atoms(AtomicFamily(SupportSet(explicit, tail)), bound)
+        p = random.Random(seed).choice(u.elements[1:])
+        chain_of = self.seeded_chain(p, u.family, lambda chain: chain + [ZERO])
+        monkeypatch.setattr(verification, "maximal_chain_down", chain_of)
+        r = check_chain_structure(u)
+        assert (r.passed, r.checked, r.counterexample, r.note) == self.naive(u, chain_of)
+        assert r.counterexample == (p,) and r.note == "chain length mismatch"
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("explicit, tail, bound", [((0, 1, 3), None, 3), ((0,), 4, 4)],
+                             ids=["013@3", "0,+4@4"])
+    def test_skipped_link_caught(self, monkeypatch, seed, explicit, tail, bound):
+        # p's chain drops straight to the zero, at its true length; its true
+        # second link lies in the window, strictly between p and the zero
+        u = BoundedUniverse.atoms(AtomicFamily(SupportSet(explicit, tail)), bound)
+        window = set(u.elements)
+        skippable = [x for x in u.elements[1:]
+                     if verification.maximal_chain_down(x, u.family)[1] in window - {ZERO}]
+        p = random.Random(seed).choice(skippable)
+        chain_of = self.seeded_chain(p, u.family, lambda chain: chain[:1] + [ZERO] * (len(chain) - 1))
+        monkeypatch.setattr(verification, "maximal_chain_down", chain_of)
+        r = check_chain_structure(u)
+        assert (r.passed, r.checked, r.counterexample, r.note) == self.naive(u, chain_of)
+        assert r.counterexample[::2] == (ZERO, p) and r.note == "element strictly between chain links"
+
 
 class TestIsomorphismTransport:
     def test_total_direction(self):
@@ -560,7 +600,7 @@ class TestClosureDefects:
         r = verify_restricted_closed(f, bound)
 
         def restricted(e):
-            return e is ZERO or (f.contains_atom(e.val) and e.val <= e.row and e.val <= e.col)
+            return e is ZERO or (e.val in f.support and e.val <= e.row and e.val <= e.col)
 
         expected = self.naive_closed(window, mul, restricted)
         assert (r.passed, r.checked, r.counterexample, r.note) == (
@@ -662,11 +702,11 @@ class TestReport:
 
     def test_json_shape(self):
         r = VerificationReport(False, 7, (ZERO, AtomElem(1, 2, 0)), note="boom")
-        d = r.to_json_dict()
+        d = r.to_json_dict(ATOMS.to_json)
         assert d == {
             "passed": False,
             "checked": 7,
-            "counterexample": ["ZERO", "AtomElem(i=1, j=2, k=0)"],
+            "counterexample": [{"zero": True}, {"i": 1, "j": 2, "k": 0}],
             "note": "boom",
         }
-        assert VerificationReport(True, 1).to_json_dict()["counterexample"] is None
+        assert VerificationReport(True, 1).to_json_dict(ATOMS.to_json)["counterexample"] is None

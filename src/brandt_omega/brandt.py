@@ -8,6 +8,8 @@ embedding (i, j, {k}) -> (i+k, k, j+k).
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import repeat
 from typing import NamedTuple
 
 from .core import (
@@ -33,6 +35,9 @@ class BrandtElem(NamedTuple):
 
 BrElem = Zero | BrandtElem
 
+# Builds a BrandtElem from one (row, val, col) tuple in C, with no Python frame.
+_new = partial(tuple.__new__, BrandtElem)
+
 
 def brandt_multiply(a: BrElem, b: BrElem) -> BrElem:
     """Index-matching product; values meet by min."""
@@ -40,13 +45,13 @@ def brandt_multiply(a: BrElem, b: BrElem) -> BrElem:
         return ZERO
     if a.col != b.row:
         return ZERO
-    return BrandtElem(a.row, min(a.val, b.val), b.col)
+    return _new((a.row, min(a.val, b.val), b.col))
 
 
 def brandt_invert(e: BrElem) -> BrElem:
     if e is ZERO:
         return ZERO
-    return BrandtElem(e.col, e.val, e.row)
+    return _new((e.col, e.val, e.row))
 
 
 def brandt_is_idempotent(e: BrElem) -> bool:
@@ -72,6 +77,8 @@ def validate_restricted(e: BrElem, f: AtomicFamily) -> None:
 
 def fiber(row: int, col: int, f: AtomicFamily) -> list[BrandtElem]:
     """All restricted elements with the given row and column, sorted by value."""
+    if not (_is_natural(row) and _is_natural(col)):
+        raise InvalidElementError("fiber coordinates must be naturals")
     return [BrandtElem(row, k, col) for k in f.support.upto(min(row, col))]
 
 
@@ -99,7 +106,7 @@ def restricted_universe(f: AtomicFamily, bound: int) -> list[BrElem]:
     out: list[BrElem] = [ZERO]
     for row in range(bound + 1):
         for k in f.support.upto(row):
-            out.extend(BrandtElem(row, k, col) for col in range(k, bound + 1))
+            out.extend(map(_new, zip(repeat(row), repeat(k), range(k, bound + 1))))
     return out
 
 

@@ -8,6 +8,7 @@ cofinite and is returned as a symbolic predicate instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .brandt import (
     BrandtElem,
@@ -84,9 +85,6 @@ def brute_force_solutions(
         raise InvalidElementError("the brute-force oracle covers nonzero right-hand sides only")
     validate_restricted(A, f)
     validate_restricted(B, f)
-    out = []
-    for X in restricted_universe(f, bound):  # sorted; the zero never solves
-        prod = brandt_multiply(A, X) if side == "left" else brandt_multiply(X, A)
-        if prod == B:
-            out.append(X)
-    return out
+    window = restricted_universe(f, bound)  # sorted; the zero never solves
+    args = (repeat(A), window) if side == "left" else (window, repeat(A))
+    return [X for X, prod in zip(window, map(brandt_multiply, *args)) if prod == B]

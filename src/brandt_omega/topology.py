@@ -10,11 +10,14 @@ that is the honest computable surrogate for the cofinite sets involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import partial
+from itertools import chain, filterfalse, product, repeat
+from operator import is_
 
 from .brandt import (
     BrandtElem,
     BrElem,
+    _new,
     brandt_invert,
     brandt_is_idempotent,
     brandt_multiply,
@@ -46,10 +49,13 @@ class AcNbhd:
     def members(self, f: AtomicFamily, bound: int) -> list[BrElem]:
         """The zero, then each member with row, col <= bound, in window order.
 
-        Nearly the whole window, so it filters the module global
-        restricted_universe, which perfbench patches to time the window.
+        Nearly the whole window, so it drops the fibers of excluded pairs
+        within the bound from the module global restricted_universe, which
+        perfbench patches to time the window.
         """
-        return list(filter(self.__contains__, restricted_universe(f, bound)))
+        window = restricted_universe(f, bound)
+        gone = {e for r, c in self.excluded if max(r, c) <= bound for e in fiber(r, c, f)}
+        return list(filterfalse(gone.__contains__, window))
 
 
 @dataclass(frozen=True)
@@ -77,8 +83,17 @@ class Tau1Nbhd:
         for row in range(self.n, bound + 1):
             cols = range(row + 1, bound + 1)
             for k in f.support.upto(row):
-                out.extend(BrandtElem(row, k, col) for col in cols)
+                out.extend(map(_new, zip(repeat(row), repeat(k), cols)))
         return out
+
+
+_is_zero = partial(is_, ZERO)
+
+
+def _first_miss(items: list, contains) -> int:
+    """Index of the first item that `contains` rejects, else len(items).
+    Products repeat (most are the zero): `contains` runs once per distinct item."""
+    return min(map(items.index, filterfalse(contains, set(items))), default=len(items))
 
 
 def ac_complement_size(u: AcNbhd, f: AtomicFamily) -> int:
@@ -103,28 +118,26 @@ def check_shift_continuity_ac(
     if x is ZERO:
         raise InvalidElementError("translation element must be nonzero")
     K = {x.row, x.col, *(c for pair in u.excluded for c in pair)}
-    checked = 0
-    for e in AcNbhd(frozenset(product(K, K))).members(f, bound):
-        for prod in (brandt_multiply(e, x), brandt_multiply(x, e)):
-            if prod not in u:
-                return VerificationReport(
-                    False, checked, (e, x, prod), note="translate left the neighborhood"
-                )
-        checked += 1
-    return VerificationReport(True, checked, note=f"U_K sweep with |K|={len(K)}, bound={bound}")
+    members = AcNbhd(frozenset(product(K, K))).members(f, bound)
+    left = list(map(brandt_multiply, members, repeat(x)))
+    right = list(map(brandt_multiply, repeat(x), members))
+    i = min(_first_miss(left, u.__contains__), _first_miss(right, u.__contains__))
+    if i == len(members):
+        return VerificationReport(True, i, note=f"U_K sweep with |K|={len(K)}, bound={bound}")
+    prod = left[i] if left[i] not in u else right[i]
+    return VerificationReport(False, i, (members[i], x, prod),
+                              note="translate left the neighborhood")
 
 
 def check_inversion_ac(u: AcNbhd, f: AtomicFamily, bound: int) -> VerificationReport:
     """Inversion maps the transposed-pair neighborhood into u."""
-    transposed = AcNbhd(frozenset((c, r) for r, c in u.excluded))
-    checked = 0
-    for e in transposed.members(f, bound):
-        if brandt_invert(e) not in u:
-            return VerificationReport(
-                False, checked, (e, brandt_invert(e)), note="inverse left the neighborhood"
-            )
-        checked += 1
-    return VerificationReport(True, checked, note=f"transposed sweep, bound={bound}")
+    members = AcNbhd(frozenset((c, r) for r, c in u.excluded)).members(f, bound)
+    images = list(map(brandt_invert, members))
+    i = _first_miss(images, u.__contains__)
+    if i == len(members):
+        return VerificationReport(True, i, note=f"transposed sweep, bound={bound}")
+    return VerificationReport(False, i, (members[i], images[i]),
+                              note="inverse left the neighborhood")
 
 
 def tau1_annihilation_check(x: BrElem, f: AtomicFamily, bound: int) -> VerificationReport:
@@ -133,15 +146,15 @@ def tau1_annihilation_check(x: BrElem, f: AtomicFamily, bound: int) -> Verificat
     if x is ZERO:
         return VerificationReport(True, 0, note="zero translates are trivially zero")
     n = max(x.row, x.col) + 1
-    checked = 0
-    for e in Tau1Nbhd(n).members(f, bound):
-        for prod in (brandt_multiply(x, e), brandt_multiply(e, x)):
-            if prod is not ZERO:
-                return VerificationReport(
-                    False, checked, (x, e, prod), note=f"translate by U_{n} member is nonzero"
-                )
-        checked += 1
-    return VerificationReport(True, checked, note=f"n={n}, bound={bound}")
+    members = Tau1Nbhd(n).members(f, bound)
+    left = list(map(brandt_multiply, repeat(x), members))
+    right = list(map(brandt_multiply, members, repeat(x)))
+    i = min(_first_miss(left, _is_zero), _first_miss(right, _is_zero))
+    if i == len(members):
+        return VerificationReport(True, i, note=f"n={n}, bound={bound}")
+    prod = left[i] if left[i] is not ZERO else right[i]
+    return VerificationReport(False, i, (x, members[i], prod),
+                              note=f"translate by U_{n} member is nonzero")
 
 
 def tau1_self_product_check(u: Tau1Nbhd, f: AtomicFamily, bound: int) -> VerificationReport:
@@ -172,14 +185,14 @@ def phi(x: BrElem) -> BrElem:
     """x * x^-1: the idempotent (row, val, row)."""
     if x is ZERO:
         return ZERO
-    return BrandtElem(x.row, x.val, x.row)
+    return _new((x.row, x.val, x.row))
 
 
 def psi(x: BrElem) -> BrElem:
     """x^-1 * x: the idempotent (col, val, col)."""
     if x is ZERO:
         return ZERO
-    return BrandtElem(x.col, x.val, x.col)
+    return _new((x.col, x.val, x.col))
 
 
 def check_prop49_condition(
@@ -193,8 +206,9 @@ def check_prop49_condition(
     for m in M:
         if not brandt_is_idempotent(m):
             raise InvalidElementError(f"non-idempotent in M: {format_brandt(m)}")
-    mset = set(M)
-    return not any(phi(e) in mset or psi(e) in mset for e in u.members(f, bound))
+    members = u.members(f, bound)
+    # phi(e), psi(e) member by member, so the scan stops at the first image in M
+    return set(M).isdisjoint(chain.from_iterable(zip(map(phi, members), map(psi, members))))
 
 
 def find_zero_witness(a: BrElem, D: list[BrElem]) -> BrElem | None:

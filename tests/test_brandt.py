@@ -21,7 +21,7 @@ from brandt_omega.brandt import (
     verify_restricted_closed,
 )
 from brandt_omega.core import AtomElem, ZERO, invert
-from brandt_omega.errors import NotInImageError, ParseError
+from brandt_omega.errors import InvalidElementError, NotInImageError, ParseError
 from brandt_omega.families import AtomicFamily, SupportSet
 
 
@@ -80,6 +80,8 @@ class TestElementType:
         assert [type(e) for e in results] == [BrandtElem] * 7
         assert brandt_multiply(a, a) is ZERO and brandt_invert(ZERO) is ZERO
         assert parse_brandt("O") is ZERO and embed(ZERO, fam013) is ZERO
+        univ = restricted_universe(fam013, 6)
+        assert univ[0] is ZERO and all(type(e) is BrandtElem for e in univ[1:])
 
     def test_never_equal_to_an_atom_triple(self):
         assert BrandtElem(1, 2, 3) != AtomElem(1, 2, 3)
@@ -114,6 +116,12 @@ class TestFiber:
         fam = AtomicFamily(SupportSet((), 0))
         for r, c in product(range(5), repeat=2):
             assert len(fiber(r, c, fam)) == min(r, c) + 1
+
+    @pytest.mark.parametrize("bad", [2.5, True, -1, "3"])
+    def test_rejects_non_natural_coordinates(self, fam013, bad):
+        for row, col in ((bad, 5), (5, bad)):
+            with pytest.raises(InvalidElementError, match="^fiber coordinates must be naturals$"):
+                fiber(row, col, fam013)
 
 
 class TestEmbedding:

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -14,6 +15,7 @@ from brandt_omega.errors import InvalidElementError
 from brandt_omega.families import parse_family
 from brandt_omega.topology import (
     ADJOINED,
+    _first_miss,
     AcNbhd,
     Adjoined,
     MSeq,
@@ -53,6 +55,19 @@ class TestAcNbhd:
             if e is not ZERO and e not in u
         ]
         assert len(removed) == ac_complement_size(u, fam013)
+
+    @pytest.mark.parametrize("support", ["0,1,3", "0,2,+7", "2,5", "5"])
+    def test_members_match_the_filtered_window(self, support):
+        # oracle: the window filtered by the membership predicate; the
+        # excluded sets hold pairs past the bound and pairs with empty fibers
+        f = parse_family(support)
+        excluded_sets = [(), ((2, 5),), ((0, 0), (1, 9), (3, 1)), ((13, 4), (4, 40), (99, 99)),
+                         ((3, 3), (6, 2), (12, 12), (12, 30)), tuple(product(range(6), repeat=2))]
+        for bound in range(13):
+            window = restricted_universe(f, bound)
+            for excluded in excluded_sets:
+                u = AcNbhd(frozenset(excluded))
+                assert u.members(f, bound) == [e for e in window if e in u], (bound, excluded)
 
     def test_rejects_negative_pairs(self):
         with pytest.raises(InvalidElementError):
@@ -348,8 +363,47 @@ def naive_prop49(contains, M, f, bound, phi=phi):
     )
 
 
+def naive_shift_ac_counterexample(excluded, x, f, bound, mul=brandt_multiply):
+    """The first (e, x, product) that leaves u, testing e*x before x*e."""
+    K = {x.row, x.col} | {c for pair in excluded for c in pair}
+    for e in restricted_universe(f, bound):
+        if e is ZERO or not (e.row in K and e.col in K):
+            for prod in (mul(e, x), mul(x, e)):
+                if not _ac_in(excluded, prod):
+                    return e, x, prod
+    return None
+
+
+def naive_inversion_ac_counterexample(excluded, f, bound, inv=brandt_invert):
+    transposed = {(c, r) for r, c in excluded}
+    for e in restricted_universe(f, bound):
+        if _ac_in(transposed, e) and not _ac_in(excluded, inv(e)):
+            return e, inv(e)
+    return None
+
+
+def naive_annihilation_counterexample(x, f, bound, mul=brandt_multiply):
+    """The first (x, e, product) that is nonzero, testing x*e before e*x."""
+    n = max(x.row, x.col) + 1
+    for e in restricted_universe(f, bound):
+        if _t1_in(n, e):
+            for prod in (mul(x, e), mul(e, x)):
+                if prod is not ZERO:
+                    return x, e, prod
+    return None
+
+
 def _triple(r):
     return r.passed, r.checked, r.note
+
+
+def _four(r):
+    return r.passed, r.checked, r.counterexample, r.note
+
+
+def _naive_four(triple, counterexample):
+    passed, checked, note = triple
+    return passed, checked, counterexample, note
 
 
 SUPPORT_BOUNDS = [(s, b) for s in ("0,1,3", "0,2,+7", "2,5") for b in (3, 6, 10)]
@@ -473,6 +527,154 @@ class TestSeededDefects:
         monkeypatch.setattr(topology, "phi", low)
         assert check_prop49_condition(u, M, self.F, self.BOUND) is False
         assert naive_prop49(contains, set(M), self.F, self.BOUND, low) is False
+
+
+class TestFirstFailure:
+    """The sweeps compute all products, then report the first member with
+    a product outside the set: seeded defects at chosen members, each pinned
+    to (passed, checked, counterexample, note) of the naive scans."""
+
+    F, BOUND = parse_family("0,1,3"), 8
+    BAD, WORSE = BrandtElem(2, 0, 5), BrandtElem(2, 1, 5)  # both outside ac:(2,5)
+    CASES = ["right only", "same value twice", "later left, earlier right",
+             "both sides", "first member", "last member"]
+
+    @staticmethod
+    def _defects(case, members, left, right, bad, worse):
+        """Corrupted products keyed by argument pair, and the member reported.
+        left(e) and right(e) are the argument pairs of a member's two products."""
+        p, q = members[len(members) // 3], members[2 * len(members) // 3]
+        first, last = members[0], members[-1]
+        return {
+            "right only": ({right(p): bad}, p),
+            "same value twice": ({left(p): bad, left(q): bad}, p),
+            "later left, earlier right": ({left(q): bad, right(p): worse}, p),
+            "both sides": ({left(p): bad, right(p): worse}, p),
+            "first member": ({left(first): bad}, first),
+            "last member": ({right(last): bad}, last),
+        }[case]
+
+    @staticmethod
+    def _corrupt(monkeypatch, name, original, defects):
+        def corrupted(*args):
+            return defects[args] if args in defects else original(*args)
+        monkeypatch.setattr(topology, name, corrupted)
+        return corrupted
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_shift_continuity_ac(self, monkeypatch, case):
+        u, x = AcNbhd(frozenset({(2, 5)})), BrandtElem(3, 1, 4)
+        members = AcNbhd(frozenset(product({2, 3, 4, 5}, repeat=2))).members(self.F, self.BOUND)
+        defects, want = self._defects(case, members, lambda e: (e, x), lambda e: (x, e),
+                                      self.BAD, self.WORSE)
+        mul = self._corrupt(monkeypatch, "brandt_multiply", brandt_multiply, defects)
+        r = check_shift_continuity_ac(u, x, self.F, self.BOUND)
+        assert not r.passed and r.checked == members.index(want)
+        assert _four(r) == _naive_four(naive_shift_ac({(2, 5)}, x, self.F, self.BOUND, mul),
+                                       naive_shift_ac_counterexample({(2, 5)}, x, self.F, self.BOUND, mul))
+        if case == "both sides":
+            assert r.counterexample == (want, x, self.BAD)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_annihilation(self, monkeypatch, case):
+        x = BrandtElem(2, 1, 4)
+        members = Tau1Nbhd(5).members(self.F, self.BOUND)
+        nonzero = BrandtElem(6, 0, 7)
+        defects, want = self._defects(case, members, lambda e: (x, e), lambda e: (e, x),
+                                      nonzero, x)
+        mul = self._corrupt(monkeypatch, "brandt_multiply", brandt_multiply, defects)
+        r = tau1_annihilation_check(x, self.F, self.BOUND)
+        assert not r.passed and r.checked == members.index(want)
+        assert _four(r) == _naive_four(naive_annihilation(x, self.F, self.BOUND, mul),
+                                       naive_annihilation_counterexample(x, self.F, self.BOUND, mul))
+        if case == "both sides":
+            assert r.counterexample == (x, want, nonzero)
+
+    @pytest.mark.parametrize("case", ["same value twice", "first member", "last member"])
+    def test_inversion_ac(self, monkeypatch, case):
+        u = AcNbhd(frozenset({(2, 5)}))
+        members = AcNbhd(frozenset({(5, 2)})).members(self.F, self.BOUND)
+        defects, want = self._defects(case, members, lambda e: (e,), lambda e: (e,),
+                                      self.BAD, self.BAD)
+        inv = self._corrupt(monkeypatch, "brandt_invert", brandt_invert, defects)
+        r = check_inversion_ac(u, self.F, self.BOUND)
+        assert not r.passed and r.checked == members.index(want)
+        assert _four(r) == _naive_four(naive_inversion_ac({(2, 5)}, self.F, self.BOUND, inv),
+                                       naive_inversion_ac_counterexample({(2, 5)}, self.F, self.BOUND, inv))
+
+
+class TestFirstMiss:
+    def test_empty(self):
+        assert _first_miss([], lambda item: False) == 0
+
+    def test_no_miss(self):
+        assert _first_miss([ZERO, 1, ZERO, 2], lambda item: True) == 4
+
+    def test_miss_at_index_zero(self):
+        assert _first_miss([3, ZERO, 3, 1], lambda item: item is ZERO) == 0
+
+    def test_repeated_miss_value_runs_contains_once_per_distinct_item(self):
+        seen = []
+
+        def contains(item):
+            seen.append(item)
+            return item != 7
+
+        assert _first_miss([ZERO, 1, 7, ZERO, 7, 5, 7], contains) == 2
+        assert Counter(seen) == Counter({ZERO: 1, 1: 1, 7: 1, 5: 1})
+
+
+class TestEveryProductComputed:
+    """A faster sweep that checks less is not faster: a passing sweep calls
+    the product, inverse, phi and psi exactly once per member and side."""
+
+    F, BOUND = parse_family("0,1,3"), 8
+
+    @staticmethod
+    def _count(monkeypatch, name, original):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(topology, name, counted)
+        return calls
+
+    def test_shift_continuity_ac(self, monkeypatch):
+        u, x = AcNbhd(frozenset({(2, 5)})), BrandtElem(3, 1, 4)
+        members = AcNbhd(frozenset(product({2, 3, 4, 5}, repeat=2))).members(self.F, self.BOUND)
+        calls = self._count(monkeypatch, "brandt_multiply", brandt_multiply)
+        r = check_shift_continuity_ac(u, x, self.F, self.BOUND)
+        assert r.passed and r.checked == len(members) and len(calls) == 2 * len(members)
+        assert Counter(calls) == Counter([(e, x) for e in members] + [(x, e) for e in members])
+
+    def test_annihilation(self, monkeypatch):
+        x = BrandtElem(2, 1, 4)
+        members = Tau1Nbhd(5).members(self.F, self.BOUND)
+        calls = self._count(monkeypatch, "brandt_multiply", brandt_multiply)
+        r = tau1_annihilation_check(x, self.F, self.BOUND)
+        assert r.passed and r.checked == len(members) and len(calls) == 2 * len(members)
+        assert Counter(calls) == Counter([(x, e) for e in members] + [(e, x) for e in members])
+
+    def test_inversion_ac(self, monkeypatch):
+        members = AcNbhd(frozenset({(5, 2)})).members(self.F, self.BOUND)
+        calls = self._count(monkeypatch, "brandt_invert", brandt_invert)
+        r = check_inversion_ac(AcNbhd(frozenset({(2, 5)})), self.F, self.BOUND)
+        assert r.passed and r.checked == len(calls) == len(members)
+        assert Counter(calls) == Counter((e,) for e in members)
+
+    @pytest.mark.parametrize("u, M", [
+        (Tau1Nbhd(3), [BrandtElem(2, 0, 2)]),
+        (AcNbhd(frozenset({(5, j) for j in range(9)} | {(i, 5) for i in range(9)})),
+         [BrandtElem(5, 0, 5)]),
+    ], ids=["t1", "ac"])
+    def test_prop49(self, monkeypatch, u, M):
+        members = u.members(self.F, self.BOUND)
+        phis = self._count(monkeypatch, "phi", phi)
+        psis = self._count(monkeypatch, "psi", psi)
+        assert check_prop49_condition(u, M, self.F, self.BOUND) is True
+        assert Counter(phis) == Counter(psis) == Counter((e,) for e in members)
 
 
 class TestWindowCalls:

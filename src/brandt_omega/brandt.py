@@ -8,9 +8,9 @@ embedding (i, j, {k}) -> (i+k, k, j+k).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import partial
 from itertools import repeat
-from typing import NamedTuple
 
 from .core import (
     ATOMS, AtomElem, Elem, ElemKind, ZERO, Zero, _parse_triple, elements_upto, validate_elem,
@@ -19,18 +19,15 @@ from .errors import InvalidElementError, NotInImageError
 from .families import AtomicFamily, _is_natural, is_natural
 from .report import VerificationReport, check_closed, check_injective_homomorphism
 
-class BrandtElem(NamedTuple):
+class BrandtElem(namedtuple("BrandtElem", "row val col")):
     """Nonzero triple (row, val, col).
 
     A tuple, so hashing, equality and the (row, val, col) ordering are
-    tuple's own, in C, and construction costs about half that of a frozen
-    dataclass; the window sweeps build thousands per query.  It never
-    equals an AtomElem, which is a dataclass.
+    tuple's own, in C; the window sweeps build thousands per query.  It
+    never equals an AtomElem, which is not a tuple.
     """
 
-    row: int
-    val: int
-    col: int
+    __slots__ = ()
 
 
 BrElem = Zero | BrandtElem

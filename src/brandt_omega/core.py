@@ -7,8 +7,8 @@ the zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable
+from collections import namedtuple
+from collections.abc import Callable
 
 from .errors import InvalidElementError, ParseError
 from .families import AtomicFamily, _is_natural, is_natural, nat
@@ -43,13 +43,42 @@ class Zero(Singleton):
 ZERO = Zero()
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class AtomElem:
-    """Nonzero element (i, j, {k}): a pair of naturals and an atom index."""
+_set = object.__setattr__
 
-    i: int
-    j: int
-    k: int
+
+class AtomElem:
+    """Nonzero element (i, j, {k}): a pair of naturals and an atom index.
+
+    The one record not built on a named tuple: a tuple equals every tuple
+    with the same items, and an AtomElem must never equal the BrandtElem
+    (row, val, col) with the same three numbers.
+    """
+
+    __slots__ = ("i", "j", "k")
+
+    def __init__(self, i: int, j: int, k: int) -> None:
+        _set(self, "i", i)
+        _set(self, "j", j)
+        _set(self, "k", k)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"AtomElem fields are read-only: {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not AtomElem:
+            return NotImplemented
+        return self.i == other.i and self.j == other.j and self.k == other.k
+
+    def __hash__(self) -> int:
+        return hash((self.i, self.j, self.k))
+
+    def __repr__(self) -> str:
+        return f"AtomElem(i={self.i!r}, j={self.j!r}, k={self.k!r})"
+
+    def __reduce__(self):
+        return AtomElem, (self.i, self.j, self.k)
 
 
 Elem = Zero | AtomElem
@@ -229,23 +258,12 @@ def elem_to_json(x: Elem) -> dict:
 
 # --- element kinds ------------------------------------------------------
 
-@dataclass(frozen=True)
-class ElemKind:
-    """One element form: its unchecked product, inverse, idempotent test,
-    validation against a family, and text and JSON forms.
-
-    The pair-with-atom triples and the restricted Brandt triples are two
-    forms of one semigroup; code that serves both takes a kind instead of
-    branching on which form it holds.
-    """
-
-    mul: Callable[[Any, Any], Any]
-    inv: Callable[[Any], Any]
-    idem: Callable[[Any], bool]
-    validate: Callable[[Any, AtomicFamily], None]
-    parse: Callable[[str], Any]
-    fmt: Callable[[Any], str]
-    to_json: Callable[[Any], dict]
+# One element form: its unchecked product, inverse, idempotent test,
+# validation against a family, and text and JSON forms.  The pair-with-atom
+# triples and the restricted Brandt triples are two forms of one semigroup;
+# code that serves both takes a kind instead of branching on which form it
+# holds.
+ElemKind = namedtuple("ElemKind", "mul inv idem validate parse fmt to_json")
 
 
 ATOMS = ElemKind(mul=_mul, inv=invert, idem=is_idempotent, validate=validate_elem,

@@ -7,7 +7,7 @@ cofinite and is returned as a symbolic predicate instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import repeat
 
 from .brandt import (
@@ -24,17 +24,9 @@ from .errors import InvalidElementError
 from .families import AtomicFamily
 
 
-@dataclass(frozen=True)
-class FiniteSolutions:
-    solutions: tuple[BrandtElem, ...]
-
-
-@dataclass(frozen=True)
-class InfiniteZeroCase:
-    """Cofinite solution set of an equation with zero right-hand side."""
-
-    description: str
-
+FiniteSolutions = namedtuple("FiniteSolutions", "solutions")
+# Cofinite solution set of an equation with zero right-hand side.
+InfiniteZeroCase = namedtuple("InfiniteZeroCase", "description")
 
 SolutionSet = FiniteSolutions | InfiniteZeroCase
 

@@ -9,7 +9,7 @@ makes the infinite case representable without symbolic machinery.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import FamilyError, ParseError
 
@@ -34,35 +34,31 @@ def is_natural(x) -> bool:
 _is_natural = is_natural
 
 
-@dataclass(frozen=True)
-class SupportSet:
+class SupportSet(namedtuple("SupportSet", "explicit tail")):
     """Finite sorted set of naturals, plus an optional tail: all n >= tail.
 
     Representations are canonical: an explicit run ending right below the
-    tail is absorbed into it, so equal supports compare equal.
+    tail is absorbed into it, so equal supports compare equal.  The explicit
+    elements are also kept as a frozenset, so membership is O(1).
     """
 
-    explicit: tuple[int, ...]
-    tail: int | None = None
-
-    def __post_init__(self) -> None:
-        if not all(map(is_natural, self.explicit)):
+    def __new__(cls, explicit: tuple[int, ...], tail: int | None = None) -> SupportSet:
+        if not all(map(is_natural, explicit)):
             raise FamilyError("support elements must be naturals")
-        xs = sorted(set(self.explicit))
-        t = self.tail
-        if t is not None:
-            if not is_natural(t):
+        xs = sorted(set(explicit))
+        if tail is not None:
+            if not is_natural(tail):
                 raise FamilyError("tail threshold must be a natural")
-            if xs and xs[-1] >= t:
+            if xs and xs[-1] >= tail:
                 raise FamilyError("explicit elements must lie strictly below the tail")
-            while xs and xs[-1] == t - 1:
-                t -= 1
+            while xs and xs[-1] == tail - 1:
+                tail -= 1
                 xs.pop()
-        if not xs and t is None:
+        if not xs and tail is None:
             raise FamilyError("support must be nonempty")
-        object.__setattr__(self, "explicit", tuple(xs))
-        object.__setattr__(self, "tail", t)
-        object.__setattr__(self, "_eset", frozenset(xs))
+        self = super().__new__(cls, tuple(xs), tail)
+        self._eset = frozenset(xs)
+        return self
 
     @property
     def minimum(self) -> int:
@@ -145,15 +141,14 @@ def parse_support(text: str) -> SupportSet:
         raise ParseError(f"bad support: {text!r} ({e})") from e
 
 
-@dataclass(frozen=True)
-class AtomicFamily:
+class AtomicFamily(namedtuple("AtomicFamily", "support")):
     """The family {emptyset} u {{k} : k in support}.
 
     The empty set is always an implicit member; at least one singleton is
     required, so the degenerate one-element semigroup never arises.
     """
 
-    support: SupportSet
+    __slots__ = ()
 
 
 def parse_family(text: str) -> AtomicFamily:

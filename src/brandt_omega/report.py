@@ -2,28 +2,26 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable
+from collections import namedtuple
+from collections.abc import Callable
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(namedtuple("VerificationReport", "passed checked counterexample note")):
     """Outcome of a bounded sweep.
 
     A failed report always carries a counterexample tuple; the note holds
     human-readable context (sweep parameters, documented caveats).
     """
 
-    passed: bool
-    checked: int
-    counterexample: tuple | None = None
-    note: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.passed and self.counterexample is None:
+    def __new__(cls, passed: bool, checked: int, counterexample: tuple | None = None,
+                note: str = "") -> VerificationReport:
+        if not passed and counterexample is None:
             raise ValueError("failed report must carry a counterexample")
+        return super().__new__(cls, passed, checked, counterexample, note)
 
-    def to_json_dict(self, elem_json: Callable[[Any], Any]) -> dict:
+    def to_json_dict(self, elem_json: Callable) -> dict:
         ce = None
         if self.counterexample is not None:
             ce = [elem_json(e) for e in self.counterexample]

@@ -9,7 +9,7 @@ that is the honest computable surrogate for the cofinite sets involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from itertools import chain, filterfalse, product, repeat
 from operator import is_
@@ -32,16 +32,16 @@ from .families import AtomicFamily, _is_natural, is_natural
 from .report import VerificationReport, check_closed
 
 
-@dataclass(frozen=True)
-class AcNbhd:
+class AcNbhd(namedtuple("AcNbhd", "excluded")):
     """Everything except the fibers over finitely many (row, col) pairs."""
 
-    excluded: frozenset[tuple[int, int]]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "excluded", frozenset(self.excluded))
-        if not all(_is_natural(r) and _is_natural(c) for r, c in self.excluded):
+    def __new__(cls, excluded) -> AcNbhd:
+        excluded = frozenset(excluded)
+        if not all(_is_natural(r) and _is_natural(c) for r, c in excluded):
             raise InvalidElementError("excluded pairs must be naturals")
+        return super().__new__(cls, excluded)
 
     def __contains__(self, e: BrElem) -> bool:
         return e is ZERO or (e.row, e.col) not in self.excluded
@@ -58,15 +58,15 @@ class AcNbhd:
         return list(filterfalse(gone.__contains__, window))
 
 
-@dataclass(frozen=True)
-class Tau1Nbhd:
+class Tau1Nbhd(namedtuple("Tau1Nbhd", "n")):
     """The zero plus all fibers over pairs with n <= row < col."""
 
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_natural(self.n):
+    def __new__(cls, n: int) -> Tau1Nbhd:
+        if not is_natural(n):
             raise InvalidElementError("threshold must be a natural")
+        return super().__new__(cls, n)
 
     def __contains__(self, e: BrElem) -> bool:
         return e is ZERO or self.n <= e.row < e.col
@@ -244,22 +244,22 @@ def extended_multiply(x: ExtendedElem, y: ExtendedElem) -> ExtendedElem:
     return brandt_multiply(x, y)
 
 
-@dataclass(frozen=True)
-class MSeq:
+class MSeq(namedtuple("MSeq", "entries")):
     """Interleaved sequence (r_1,v_1,c_1), (r_2,v_2,c_2), ... with
     r_1 < c_1 < r_2 < c_2 < ...; a finite prefix of the off-diagonal
     neighborhood ladder of the adjoined point."""
 
-    entries: tuple[BrandtElem, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, entries: tuple[BrandtElem, ...]) -> MSeq:
         prev_top = -1
-        for e in self.entries:
+        for e in entries:
             if not (isinstance(e, BrandtElem) and all(map(is_natural, e))):
                 raise InvalidElementError("sequence entries must be nonzero triples of naturals")
             if not (prev_top < e.row < e.col):
                 raise InvalidElementError("indices must strictly interleave")
             prev_top = e.col
+        return super().__new__(cls, entries)
 
     def __len__(self) -> int:
         return len(self.entries)

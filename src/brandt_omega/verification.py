@@ -8,8 +8,8 @@ keeps failures reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
+from collections.abc import Callable
 
 from .brandt import (
     BRANDT,
@@ -21,7 +21,6 @@ from .core import (
     ATOMS,
     AtomElem,
     Elem,
-    ElemKind,
     ZERO,
     _mul,
     _witness_products,
@@ -36,14 +35,10 @@ from .families import AtomicFamily, are_translate_equivalent
 from .report import VerificationReport, check_injective_homomorphism
 
 
-@dataclass(frozen=True)
-class BoundedUniverse:
+class BoundedUniverse(namedtuple("BoundedUniverse", "family bound kind elements")):
     """All elements with coordinates <= bound, plus the zero."""
 
-    family: AtomicFamily
-    bound: int
-    kind: ElemKind
-    elements: tuple
+    __slots__ = ()
 
     @classmethod
     def atoms(cls, family: AtomicFamily, bound: int) -> "BoundedUniverse":

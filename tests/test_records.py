@@ -7,7 +7,11 @@ non-canonical spelling of the same set the second time.
 """
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -113,3 +117,14 @@ def test_atom_and_brandt_triples_never_equal():
     assert not a == b and not b == a
     assert len({a, b}) == 2
     assert a != (1, 2, 3) and (1, 2, 3) != a
+
+
+def test_cli_import_leaves_out_dataclasses_typing_and_inspect():
+    # -S: no site hooks, which on some hosts import typing themselves
+    code = ("import sys, brandt_omega.cli; "
+            "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    p = subprocess.run([sys.executable, "-S", "-B", "-c", code], env=env,
+                       capture_output=True, text=True, timeout=60)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout == "[]\n"

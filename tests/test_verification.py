@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -322,7 +321,7 @@ class TestInverseAxioms:
         elems = (elements_upto if kind is ATOMS else restricted_universe)(fam013, 3)
         x = random.Random(seed).choice(elems[1:])
         corrupt = sent_to(kind.mul, x, kind.inv(x), ZERO)  # x x^-1 x becomes the zero
-        u = BoundedUniverse(fam013, 3, dataclasses.replace(kind, mul=corrupt), tuple(elems))
+        u = BoundedUniverse(fam013, 3, kind._replace(mul=corrupt), tuple(elems))
         r = check_inverse_axioms(u)
         assert (r.passed, r.checked, r.counterexample, r.note) == self.naive(
             elems, corrupt, kind.inv, kind.idem)
@@ -337,7 +336,7 @@ class TestInverseAxioms:
         # the axioms never multiply two distinct idempotents, so only the
         # commuting pairs can see this
         corrupt = corrupted_at(kind.mul, e, g, e)
-        u = BoundedUniverse(fam013, 3, dataclasses.replace(kind, mul=corrupt), tuple(elems))
+        u = BoundedUniverse(fam013, 3, kind._replace(mul=corrupt), tuple(elems))
         r = check_inverse_axioms(u)
         assert (r.passed, r.checked, r.counterexample, r.note) == self.naive(
             elems, corrupt, kind.inv, kind.idem)

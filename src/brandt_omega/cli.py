@@ -205,6 +205,8 @@ def _cmd_prop49(args, f) -> int:
 def _cmd_witness(args, f) -> int:
     a = BRANDT.parse(args.a)
     D = parse_brandt_list(args.d)
+    for x in (a, *D):
+        BRANDT.validate(x, f)
     w = topology.find_zero_witness(a, D)
     _emit(args, None if w is None else BRANDT.to_json(w), "none" if w is None else BRANDT.fmt(w))
     return 0 if w is not None else 1

@@ -9,6 +9,7 @@ makes the infinite case representable without symbolic machinery.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from collections import namedtuple
 
 from .errors import FamilyError, ParseError
@@ -103,6 +104,11 @@ class SupportSet(namedtuple("SupportSet", "explicit tail")):
         if self.tail is not None and self.tail <= x:
             out.extend(range(self.tail, x + 1))
         return out
+
+    def count_upto(self, x: int) -> int:
+        """len(self.upto(x)), counted without listing the elements."""
+        n = bisect_right(self.explicit, x)
+        return n if self.tail is None else n + max(0, x - self.tail + 1)
 
     def shift(self, n: int) -> SupportSet:
         """Translate every element by -n; negative results are an error."""

@@ -99,10 +99,12 @@ def _first_miss(items: list, contains) -> int:
 def ac_complement_size(u: AcNbhd, f: AtomicFamily) -> int:
     """Number of elements removed: the sum of the excluded fiber sizes.
 
+    The fiber over (row, col) holds one element per support element up to
+    min(row, col), so each size is counted without building the fiber.
     Always finite, which is why these sets form the neighborhood base of a
     one-point compactification of the discrete nonzero part.
     """
-    return sum(len(fiber(r, c, f)) for r, c in u.excluded)
+    return sum(f.support.count_upto(min(r, c)) for r, c in u.excluded)
 
 
 def check_shift_continuity_ac(
@@ -202,8 +204,10 @@ def check_prop49_condition(
 
     A true answer exhibits the neighborhood as a witness against closedness
     of the topology in ambient topological semigroups, at the swept bound.
+    Every element of M must be a restricted idempotent of f.
     """
     for m in M:
+        validate_restricted(m, f)
         if not brandt_is_idempotent(m):
             raise InvalidElementError(f"non-idempotent in M: {format_brandt(m)}")
     members = u.members(f, bound)

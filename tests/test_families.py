@@ -79,6 +79,11 @@ class TestSupportSet:
         # only naturals are members, although 2.0 == 2 and 8.5 > 7
         assert 2.0 not in t and True not in SupportSet((1,)) and 8.5 not in t and "8" not in t
 
+    @pytest.mark.parametrize("support", [((0, 1, 3),), ((0, 2), 7), ((), 4), ((5,),)])
+    def test_count_upto_is_the_length_of_upto(self, support):
+        s = SupportSet(*support)
+        assert [s.count_upto(x) for x in range(12)] == [len(s.upto(x)) for x in range(12)]
+
     def test_shift(self):
         assert SupportSet((2, 3, 5)).shift(2) == SupportSet((0, 1, 3))
         assert SupportSet((), 4).shift(4) == SupportSet((), 0)

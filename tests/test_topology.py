@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 
 import strategies as sts
-from brandt_omega.brandt import BrandtElem, brandt_invert, brandt_multiply, restricted_universe
+from brandt_omega.brandt import BrandtElem, brandt_invert, brandt_multiply, fiber, restricted_universe
 from brandt_omega import topology
 from brandt_omega.core import ZERO, Zero
-from brandt_omega.errors import InvalidElementError
+from brandt_omega.errors import InvalidElementError, NotInImageError
 from brandt_omega.families import parse_family
 from brandt_omega.topology import (
     ADJOINED,
@@ -47,6 +47,22 @@ class TestAcNbhd:
         assert ac_complement_size(AcNbhd(frozenset({(2, 5)})), fam013) == 2
         assert ac_complement_size(AcNbhd(frozenset()), fam013) == 0
         assert ac_complement_size(AcNbhd(frozenset({(0, 0), (1, 1)})), fam013) == 3
+
+    @pytest.mark.parametrize("support", ["0,1,3", "0,2,+7", "2,5", "+4"])
+    def test_complement_size_counts_the_fibers(self, support):
+        f = parse_family(support)
+        pairs = list(product(range(13), repeat=2))
+        for r, c in pairs:
+            assert ac_complement_size(AcNbhd({(r, c)}), f) == len(fiber(r, c, f)), (r, c)
+        assert ac_complement_size(AcNbhd(pairs), f) == sum(len(fiber(r, c, f)) for r, c in pairs)
+
+    def test_complement_size_of_a_far_pair_builds_no_fiber(self, monkeypatch):
+        def no_fiber(*args):
+            raise AssertionError("fiber built")
+
+        monkeypatch.setattr(topology, "fiber", no_fiber)
+        u = AcNbhd({(3000000, 3000000)})
+        assert ac_complement_size(u, parse_family("0,+4")) == 2999998  # 0 and 4..3000000
 
     def test_complement_matches_enumeration(self, fam013):
         u = AcNbhd(frozenset({(2, 5), (1, 3)}))
@@ -210,6 +226,11 @@ class TestProp49:
             check_prop49_condition(Tau1Nbhd(1), [BrandtElem(1, 0, 2)], fam013, 5)
         with pytest.raises(InvalidElementError, match=r"^non-idempotent in M: \(1;0;2\)$"):
             check_prop49_condition(Tau1Nbhd(1), [BrandtElem(1, 0, 2)], fam013, 5)
+
+    @pytest.mark.parametrize("m", [BrandtElem(5, 9, 5), BrandtElem(1, 3, 1), BrandtElem(5, 2, 5)])
+    def test_rejects_elements_outside_the_family(self, fam013, m):
+        with pytest.raises(NotInImageError, match=r"is not in the restricted subsemigroup$"):
+            check_prop49_condition(Tau1Nbhd(1), [BrandtElem(5, 0, 5), m], fam013, 8)
 
     def test_rejects_negative_bound(self, fam013):
         # a negative bound sweeps nothing, so it would pass vacuously

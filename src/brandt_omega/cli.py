@@ -83,7 +83,9 @@ def _report(args, name: str, r: VerificationReport, kind: ElemKind) -> bool:
     else:
         ce = " ".join(map(kind.fmt, r.counterexample))
         line = f"{name}: fail (counterexample={ce}; note={r.note})"
-    _emit(args, {"name": name, **r.to_json_dict(kind.to_json)}, line)
+    _emit(args, {"name": name, "passed": r.passed, "checked": r.checked, "note": r.note,
+                 "counterexample": r.counterexample and list(map(kind.to_json, r.counterexample))},
+          line)
     return r.passed
 
 

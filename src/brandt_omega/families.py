@@ -61,6 +61,9 @@ class SupportSet(namedtuple("SupportSet", "explicit tail")):
         self._eset = frozenset(xs)
         return self
 
+    # _replace builds through _make: route it through __new__'s check
+    _make = classmethod(lambda cls, it: cls(*it))
+
     @property
     def minimum(self) -> int:
         return self.explicit[0] if self.explicit else self.tail

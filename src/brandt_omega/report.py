@@ -21,16 +21,8 @@ class VerificationReport(namedtuple("VerificationReport", "passed checked counte
             raise ValueError("failed report must carry a counterexample")
         return super().__new__(cls, passed, checked, counterexample, note)
 
-    def to_json_dict(self, elem_json: Callable) -> dict:
-        ce = None
-        if self.counterexample is not None:
-            ce = [elem_json(e) for e in self.counterexample]
-        return {
-            "passed": self.passed,
-            "checked": self.checked,
-            "counterexample": ce,
-            "note": self.note,
-        }
+    # _replace builds through _make: route it through __new__'s check
+    _make = classmethod(lambda cls, it: cls(*it))
 
 
 def check_injective_homomorphism(

@@ -43,6 +43,9 @@ class AcNbhd(namedtuple("AcNbhd", "excluded")):
             raise InvalidElementError("excluded pairs must be naturals")
         return super().__new__(cls, excluded)
 
+    # _replace builds through _make: route it through __new__'s check
+    _make = classmethod(lambda cls, it: cls(*it))
+
     def __contains__(self, e: BrElem) -> bool:
         return e is ZERO or (e.row, e.col) not in self.excluded
 
@@ -67,6 +70,9 @@ class Tau1Nbhd(namedtuple("Tau1Nbhd", "n")):
         if not is_natural(n):
             raise InvalidElementError("threshold must be a natural")
         return super().__new__(cls, n)
+
+    # _replace builds through _make: route it through __new__'s check
+    _make = classmethod(lambda cls, it: cls(*it))
 
     def __contains__(self, e: BrElem) -> bool:
         return e is ZERO or self.n <= e.row < e.col
@@ -265,13 +271,16 @@ class MSeq(namedtuple("MSeq", "entries")):
             prev_top = e.col
         return super().__new__(cls, entries)
 
+    # _replace builds through _make: route it through __new__'s check
+    _make = classmethod(lambda cls, it: cls(*it))
+
     def __len__(self) -> int:
         return len(self.entries)
 
 
 def mseq_nbhd_contains(seq: MSeq, n: int, e: ExtendedElem) -> bool:
     """Membership in U_n = {adjoined point} u entries from position n on (1-based)."""
-    if not 1 <= n <= len(seq):
+    if not (_is_natural(n) and 1 <= n <= len(seq)):
         raise IndexError(f"n must be in 1..{len(seq)}")
     if isinstance(e, Adjoined):
         return True

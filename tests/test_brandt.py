@@ -20,9 +20,9 @@ from brandt_omega.brandt import (
     verify_embedding_homomorphism,
     verify_restricted_closed,
 )
-from brandt_omega.core import AtomElem, ZERO, invert
+from brandt_omega.core import AtomElem, ZERO, elements_upto, invert
 from brandt_omega.errors import InvalidElementError, NotInImageError, ParseError
-from brandt_omega.families import AtomicFamily, SupportSet
+from brandt_omega.families import AtomicFamily, SupportSet, parse_family
 
 
 class TestBrandtMultiply:
@@ -145,6 +145,15 @@ class TestEmbedding:
     def test_roundtrip_other_way(self, fe):
         fam, (e,) = fe
         assert embed(embed_inverse(e, fam), fam) == e
+
+    @pytest.mark.parametrize("text", ["0", "0,1,3", "2,5", "0,+4", "1,2,+6"])
+    def test_image_covers_the_restricted_window(self, text):
+        # claim (a), surjectivity: each restricted (row, val, col) is the image
+        # of (row - val, col - val, val), which lies in the atoms window
+        fam = parse_family(text)
+        for bound in range(7):
+            image = {embed(x, fam) for x in elements_upto(fam, bound)}
+            assert set(restricted_universe(fam, bound)) <= image
 
     @given(sts.fam_and_elems(n=1))
     def test_inversion_transport(self, fe):

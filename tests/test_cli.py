@@ -229,16 +229,27 @@ class TestVerify:
         ]
         assert all(r["passed"] for r in reports)
 
-    @pytest.mark.parametrize("kind, counterexample, text", [
-        (BRANDT, (BrandtElem(1, 0, 2), ZERO), "(1;0;2) O"),
-        (ATOMS, (AtomElem(1, 0, 2), ZERO), "(1,0,2) 0"),
-    ], ids=["brandt", "atoms"])
-    def test_failing_report_in_kind_notation(self, capsys, kind, counterexample, text):
+    @pytest.mark.parametrize("kind, counterexample, output, lines", [
+        (BRANDT, (BrandtElem(1, 0, 2), ZERO), "text", [
+            "inversion: fail (counterexample=(1;0;2) O; note=x)",
+            "inversion: pass (checked=1)"]),
+        (ATOMS, (AtomElem(1, 0, 2), ZERO), "text", [
+            "inversion: fail (counterexample=(1,0,2) 0; note=x)",
+            "inversion: pass (checked=1)"]),
+        (ATOMS, (ZERO, AtomElem(1, 2, 0)), "json", [
+            '{"checked": 5, "counterexample": [{"zero": true}, {"i": 1, "j": 2, "k": 0}], '
+            '"name": "inversion", "note": "x", "passed": false}',
+            '{"checked": 1, "counterexample": null, "name": "inversion", "note": "", '
+            '"passed": true}']),
+    ], ids=["brandt", "atoms", "json"])
+    def test_failing_report_in_kind_notation(self, capsys, kind, counterexample, output, lines):
         # no CLI input reaches a failing line with the true product, so the
-        # report helper is called directly
-        report = VerificationReport(False, 5, counterexample, note="x")
-        assert _report(argparse.Namespace(output="text"), "inversion", report, kind) is False
-        assert capsys.readouterr().out == f"inversion: fail (counterexample={text}; note=x)\n"
+        # report helper is called directly; a passing report follows it
+        args = argparse.Namespace(output=output)
+        assert _report(args, "inversion", VerificationReport(False, 5, counterexample, note="x"),
+                       kind) is False
+        assert _report(args, "inversion", VerificationReport(True, 1), kind) is True
+        assert capsys.readouterr().out.splitlines() == lines
 
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -11,14 +11,17 @@ import os
 import pickle
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import brandt_omega
 from brandt_omega.brandt import BrandtElem
 from brandt_omega.core import ATOMS, ZERO, AtomElem, _mul, elem_to_json, format_elem, invert
 from brandt_omega.core import is_idempotent, parse_elem, validate_elem
 from brandt_omega.equations import FiniteSolutions, InfiniteZeroCase
+from brandt_omega.errors import FamilyError, InvalidElementError
 from brandt_omega.families import AtomicFamily, SupportSet
 from brandt_omega.report import VerificationReport
 from brandt_omega.topology import AcNbhd, MSeq, Tau1Nbhd
@@ -111,6 +114,32 @@ def test_support_membership_survives_copies():
         assert [k for k in range(6) if k in c] == [0, 1, 3]
 
 
+# (name, a rebuild through _replace or _make of an invalid value, the
+# error the constructor documents for it)
+REBUILDS = [
+    ("SupportSet", lambda: SupportSet((0, 1))._replace(explicit=(-1,)), FamilyError),
+    ("AcNbhd", lambda: AcNbhd({(1, 2)})._replace(excluded={(-1, 0)}), InvalidElementError),
+    ("Tau1Nbhd", lambda: Tau1Nbhd(3)._replace(n=-1), InvalidElementError),
+    ("Tau1Nbhd _make", lambda: Tau1Nbhd._make([-1]), InvalidElementError),
+    ("MSeq", lambda: MSeq((BrandtElem(0, 0, 1),))._replace(entries=(BrandtElem(2, 0, 1),)),
+     InvalidElementError),
+    ("VerificationReport", lambda: VerificationReport(True, 1)._replace(passed=False), ValueError),
+]
+
+
+@pytest.mark.parametrize("rebuild, error", [r[1:] for r in REBUILDS], ids=[r[0] for r in REBUILDS])
+def test_rebuilds_validate_like_the_constructor(rebuild, error):
+    with pytest.raises(error):
+        rebuild()
+
+
+def test_valid_rebuilds_are_canonical():
+    s = SupportSet((0, 1))._replace(tail=5)
+    assert s == SupportSet((0, 1), 5) and [k for k in range(8) if k in s] == [0, 1, 5, 6, 7]
+    assert SupportSet((0, 1))._replace(tail=2) == SupportSet((), 0)
+    u = AcNbhd({(1, 2)})._replace(excluded={(3, 4)})
+    assert type(u.excluded) is frozenset and hash(u) == hash(AcNbhd({(3, 4)}))
+
 def test_atom_and_brandt_triples_never_equal():
     a, b = AtomElem(1, 2, 3), BrandtElem(1, 2, 3)
     assert a != b and b != a
@@ -128,3 +157,9 @@ def test_cli_import_leaves_out_dataclasses_typing_and_inspect():
                        capture_output=True, text=True, timeout=60)
     assert p.returncode == 0, p.stderr
     assert p.stdout == "[]\n"
+
+
+def test_package_root_keeps_only_the_five_names_the_benchmark_reads():
+    public = {name for name, value in vars(brandt_omega).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == {"parse_family", "AtomElem", "BrandtElem", "AcNbhd", "Tau1Nbhd"}

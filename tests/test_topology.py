@@ -305,6 +305,11 @@ class TestMSeq:
         with pytest.raises(IndexError):
             mseq_nbhd_contains(seq, 4, ADJOINED)
 
+    @pytest.mark.parametrize("n", ["1", 1.0, True])
+    def test_position_must_be_a_natural(self, n):
+        with pytest.raises(IndexError):
+            mseq_nbhd_contains(MSeq(self.ENTRIES), n, ADJOINED)
+
     def test_interleaving_enforced(self):
         with pytest.raises(InvalidElementError):
             MSeq((BrandtElem(2, 0, 1),))  # row >= col

@@ -698,14 +698,3 @@ class TestReport:
     def test_failed_needs_counterexample(self):
         with pytest.raises(ValueError):
             VerificationReport(False, 3)
-
-    def test_json_shape(self):
-        r = VerificationReport(False, 7, (ZERO, AtomElem(1, 2, 0)), note="boom")
-        d = r.to_json_dict(ATOMS.to_json)
-        assert d == {
-            "passed": False,
-            "checked": 7,
-            "counterexample": [{"zero": True}, {"i": 1, "j": 2, "k": 0}],
-            "note": "boom",
-        }
-        assert VerificationReport(True, 1).to_json_dict(ATOMS.to_json)["counterexample"] is None

@@ -26,7 +26,9 @@ from .verification import VERIFY_CHECKS
 DEFAULT_BOUND = 6
 
 
-def _default_bound() -> int:
+def _bound(args) -> int:
+    if args.bound is not None:
+        return args.bound
     raw = os.environ.get("BRANDT_OMEGA_BOUND")
     if raw is None:
         return DEFAULT_BOUND
@@ -34,10 +36,6 @@ def _default_bound() -> int:
     if bound is None:
         raise ParseError(f"BRANDT_OMEGA_BOUND must be a natural, got {raw!r}")
     return bound
-
-
-def _bound(args) -> int:
-    return args.bound if args.bound is not None else _default_bound()
 
 
 def _natural(text: str) -> int:

@@ -181,20 +181,14 @@ def immediate_predecessors(x: Elem, f: AtomicFamily) -> list[Elem]:
 
 
 def maximal_chain_down(x: Elem, f: AtomicFamily) -> list[Elem]:
-    """The descending chain from x through iterated predecessors to the zero.
-
-    Each link steps the atom to the next support element below, adding the
-    cumulative difference to both coordinates; the chain has length
-    index(k) + 2.
-    """
+    """The descending chain from x = (i, j, {k}) through iterated predecessors
+    to the zero: the link (i + k - m, j + k - m, {m}) for each support element
+    m <= k, from k down, so the chain has length index(k) + 2."""
     validate_elem(x, f)
     if x is ZERO:
         raise InvalidElementError("chains start from a nonzero element")
-    chain: list[Elem] = [x]
-    while chain[-1] is not ZERO:
-        (pred,) = immediate_predecessors(chain[-1], f)
-        chain.append(pred)
-    return chain
+    below = reversed(f.support.upto(x.k))
+    return [AtomElem(x.i + x.k - m, x.j + x.k - m, m) for m in below] + [ZERO]
 
 
 def census_atoms(f: AtomicFamily, bound: int) -> list[int]:

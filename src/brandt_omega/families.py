@@ -35,7 +35,14 @@ def is_natural(x) -> bool:
 _is_natural = is_natural
 
 
-class SupportSet(namedtuple("SupportSet", "explicit tail")):
+class _Checked:
+    """First base of each validating record: its _make, and so _replace, runs __new__."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))
+
+
+class SupportSet(_Checked, namedtuple("SupportSet", "explicit tail")):
     """Finite sorted set of naturals, plus an optional tail: all n >= tail.
 
     Representations are canonical: an explicit run ending right below the
@@ -60,9 +67,6 @@ class SupportSet(namedtuple("SupportSet", "explicit tail")):
         self = super().__new__(cls, tuple(xs), tail)
         self._eset = frozenset(xs)
         return self
-
-    # _replace builds through _make: route it through __new__'s check
-    _make = classmethod(lambda cls, it: cls(*it))
 
     @property
     def minimum(self) -> int:

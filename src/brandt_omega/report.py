@@ -5,8 +5,11 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable
 
+from .families import _Checked
 
-class VerificationReport(namedtuple("VerificationReport", "passed checked counterexample note")):
+
+class VerificationReport(_Checked,
+                         namedtuple("VerificationReport", "passed checked counterexample note")):
     """Outcome of a bounded sweep.
 
     A failed report always carries a counterexample tuple; the note holds
@@ -20,9 +23,6 @@ class VerificationReport(namedtuple("VerificationReport", "passed checked counte
         if not passed and counterexample is None:
             raise ValueError("failed report must carry a counterexample")
         return super().__new__(cls, passed, checked, counterexample, note)
-
-    # _replace builds through _make: route it through __new__'s check
-    _make = classmethod(lambda cls, it: cls(*it))
 
 
 def check_injective_homomorphism(

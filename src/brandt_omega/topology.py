@@ -28,11 +28,11 @@ from .brandt import (
 )
 from .core import ZERO, Singleton, Zero
 from .errors import InvalidElementError
-from .families import AtomicFamily, _is_natural, is_natural
+from .families import AtomicFamily, _Checked, _is_natural, is_natural
 from .report import VerificationReport, check_closed
 
 
-class AcNbhd(namedtuple("AcNbhd", "excluded")):
+class AcNbhd(_Checked, namedtuple("AcNbhd", "excluded")):
     """Everything except the fibers over finitely many (row, col) pairs."""
 
     __slots__ = ()
@@ -42,9 +42,6 @@ class AcNbhd(namedtuple("AcNbhd", "excluded")):
         if not all(_is_natural(r) and _is_natural(c) for r, c in excluded):
             raise InvalidElementError("excluded pairs must be naturals")
         return super().__new__(cls, excluded)
-
-    # _replace builds through _make: route it through __new__'s check
-    _make = classmethod(lambda cls, it: cls(*it))
 
     def __contains__(self, e: BrElem) -> bool:
         return e is ZERO or (e.row, e.col) not in self.excluded
@@ -61,7 +58,7 @@ class AcNbhd(namedtuple("AcNbhd", "excluded")):
         return list(filterfalse(gone.__contains__, window))
 
 
-class Tau1Nbhd(namedtuple("Tau1Nbhd", "n")):
+class Tau1Nbhd(_Checked, namedtuple("Tau1Nbhd", "n")):
     """The zero plus all fibers over pairs with n <= row < col."""
 
     __slots__ = ()
@@ -70,9 +67,6 @@ class Tau1Nbhd(namedtuple("Tau1Nbhd", "n")):
         if not is_natural(n):
             raise InvalidElementError("threshold must be a natural")
         return super().__new__(cls, n)
-
-    # _replace builds through _make: route it through __new__'s check
-    _make = classmethod(lambda cls, it: cls(*it))
 
     def __contains__(self, e: BrElem) -> bool:
         return e is ZERO or self.n <= e.row < e.col
@@ -150,6 +144,8 @@ def check_inversion_ac(u: AcNbhd, f: AtomicFamily, bound: int) -> VerificationRe
 
 def tau1_annihilation_check(x: BrElem, f: AtomicFamily, bound: int) -> VerificationReport:
     """With n = max(row, col) + 1, both translates of U_n by x collapse to the zero."""
+    if not is_natural(bound):
+        raise InvalidElementError("bound must be a natural")
     validate_restricted(x, f)
     if x is ZERO:
         return VerificationReport(True, 0, note="zero translates are trivially zero")
@@ -254,7 +250,7 @@ def extended_multiply(x: ExtendedElem, y: ExtendedElem) -> ExtendedElem:
     return brandt_multiply(x, y)
 
 
-class MSeq(namedtuple("MSeq", "entries")):
+class MSeq(_Checked, namedtuple("MSeq", "entries")):
     """Interleaved sequence (r_1,v_1,c_1), (r_2,v_2,c_2), ... with
     r_1 < c_1 < r_2 < c_2 < ...; a finite prefix of the off-diagonal
     neighborhood ladder of the adjoined point."""
@@ -270,9 +266,6 @@ class MSeq(namedtuple("MSeq", "entries")):
                 raise InvalidElementError("indices must strictly interleave")
             prev_top = e.col
         return super().__new__(cls, entries)
-
-    # _replace builds through _make: route it through __new__'s check
-    _make = classmethod(lambda cls, it: cls(*it))
 
     def __len__(self) -> int:
         return len(self.entries)

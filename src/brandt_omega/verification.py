@@ -48,16 +48,6 @@ class BoundedUniverse(namedtuple("BoundedUniverse", "family bound kind elements"
     def brandt(cls, family: AtomicFamily, bound: int) -> "BoundedUniverse":
         return cls(family, bound, BRANDT, tuple(restricted_universe(family, bound)))
 
-    def expected_size(self) -> int:
-        """Closed-form cardinality; must match len(elements) exactly."""
-        b = self.bound
-        sup = self.family.support
-        if self.kind is ATOMS:
-            return 1 + (b + 1) ** 2 * len(sup.upto(b))
-        return 1 + sum(
-            len(sup.upto(min(r, c))) for r in range(b + 1) for c in range(b + 1)
-        )
-
     def product(self) -> Callable:
         return self.kind.mul
 
@@ -226,13 +216,21 @@ def check_isomorphism_transport(
     The map (i, j, k) -> (i, j, k - n) shifts only the atom by the
     translate offset n.  The product condition j1 + k1 == i2 + k2 and both
     product cases commute with that shift, so the map is total on f1.
+    Before the sweep, every image must carry an atom of f2: the first
+    window element whose image leaves f2 fails with checked 0.
     """
     n = are_translate_equivalent(f1, f2)
     if n is None:
         raise NotTranslateEquivalentError(
             f"supports {f1.support} and {f2.support} are not translates"
         )
-    return check_injective_homomorphism(elements_upto(f1, bound), lambda x: _translate(x, n),
+    elems = elements_upto(f1, bound)
+    for x in elems:
+        image = _translate(x, n)
+        if image is not ZERO and image.k not in f2.support:
+            return VerificationReport(False, 0, (x, image),
+                                      note="transport leaves the target family")
+    return check_injective_homomorphism(elems, lambda x: _translate(x, n),
                                         _mul, _mul, "transport", f"offset n={n}")
 
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from itertools import product
+from pathlib import Path
 
 from brandt_omega.brandt import (
     BrandtElem,
@@ -192,6 +193,9 @@ class TestAcceptance:
     def test_12_cli_determinism(self):
         env = dict(os.environ)
         env.pop("BRANDT_OMEGA_BOUND", None)
+        # the child imports the package from src, as pytest does here
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         cmd = [sys.executable, "-m", "brandt_omega", "verify", "--family", "0,1,3"]
         first = subprocess.run(cmd, capture_output=True, env=env)
         second = subprocess.run(cmd, capture_output=True, env=env)

@@ -168,6 +168,15 @@ class TestChains:
         for hi, lo in zip(chain, chain[1:]):
             assert nat_leq(lo, hi) and lo != hi
 
+    @given(sts.fam_and_elems(n=1, allow_zero=False))
+    def test_chain_is_the_walk_of_predecessors(self, fe):
+        # oracle: step through immediate_predecessors from x down to the zero
+        fam, (x,) = fe
+        walk = [x]
+        while walk[-1] is not ZERO:
+            walk += immediate_predecessors(walk[-1], fam)
+        assert maximal_chain_down(x, fam) == walk
+
 
 class TestCensus:
     def test_examples(self, fam0, fam013):

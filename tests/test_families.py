@@ -3,7 +3,7 @@ from hypothesis import given
 
 import strategies as sts
 from brandt_omega.brandt import BrandtElem, restricted_universe, validate_restricted
-from brandt_omega.core import AtomElem, census_atoms, elements_upto, validate_elem
+from brandt_omega.core import ZERO, AtomElem, census_atoms, elements_upto, validate_elem
 from brandt_omega.errors import FamilyError, InvalidElementError, ParseError
 from brandt_omega.families import (
     AtomicFamily,
@@ -13,7 +13,7 @@ from brandt_omega.families import (
     parse_family,
     parse_support,
 )
-from brandt_omega.topology import AcNbhd, MSeq, Tau1Nbhd
+from brandt_omega.topology import AcNbhd, MSeq, Tau1Nbhd, tau1_annihilation_check
 from brandt_omega.verification import BoundedUniverse
 from general_family import GeneralFamily, as_general, validate_omega_closed
 
@@ -102,6 +102,7 @@ NATURAL_INPUTS = [
     ("excluded col", lambda x: AcNbhd(frozenset({(2, x)})), InvalidElementError),
     ("threshold", Tau1Nbhd, InvalidElementError),
     ("members bound", lambda x: Tau1Nbhd(0).members(F_TAIL, x), InvalidElementError),
+    ("annihilation bound", lambda x: tau1_annihilation_check(ZERO, F_TAIL, x), InvalidElementError),
     ("census bound", lambda x: census_atoms(F_TAIL, x), InvalidElementError),
     ("elements bound", lambda x: elements_upto(F_TAIL, x), InvalidElementError),
     ("window bound", lambda x: restricted_universe(F_TAIL, x), InvalidElementError),

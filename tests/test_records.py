@@ -17,12 +17,13 @@ from pathlib import Path
 import pytest
 
 import brandt_omega
+import brandt_omega.cli
 from brandt_omega.brandt import BrandtElem
 from brandt_omega.core import ATOMS, ZERO, AtomElem, _mul, elem_to_json, format_elem, invert
 from brandt_omega.core import is_idempotent, parse_elem, validate_elem
 from brandt_omega.equations import FiniteSolutions, InfiniteZeroCase
 from brandt_omega.errors import FamilyError, InvalidElementError
-from brandt_omega.families import AtomicFamily, SupportSet
+from brandt_omega.families import AtomicFamily, SupportSet, _Checked
 from brandt_omega.report import VerificationReport
 from brandt_omega.topology import AcNbhd, MSeq, Tau1Nbhd
 from brandt_omega.verification import BoundedUniverse
@@ -131,6 +132,19 @@ REBUILDS = [
 def test_rebuilds_validate_like_the_constructor(rebuild, error):
     with pytest.raises(error):
         rebuild()
+
+
+def test_validating_records_share_the_one_checked_base():
+    # a subclass of a named tuple with its own __new__ validates there, and
+    # a named tuple's own _make would skip it in _replace and _make
+    modules = [getattr(brandt_omega, m) for m in (
+        "brandt", "cli", "core", "equations", "families", "report", "topology", "verification")]
+    validating = {cls for m in modules for cls in vars(m).values()
+                  if isinstance(cls, type) and issubclass(cls, tuple)
+                  and cls.__module__.startswith("brandt_omega.")
+                  and "__new__" in vars(cls) and "_fields" not in vars(cls)}
+    assert {SupportSet, AcNbhd, Tau1Nbhd, MSeq, VerificationReport} <= validating
+    assert all(issubclass(cls, _Checked) for cls in validating)
 
 
 def test_valid_rebuilds_are_canonical():

@@ -149,10 +149,12 @@ class TestBoundedUniverse:
     @pytest.mark.parametrize("fam", FAMS, ids=lambda f: str(f.support))
     @pytest.mark.parametrize("bound", [0, 2, 4])
     def test_cardinality_formula(self, fam, bound):
-        for ctor in (BoundedUniverse.atoms, BoundedUniverse.brandt):
-            u = ctor(fam, bound)
-            assert len(u.elements) == u.expected_size()
-            assert u.elements[0] is ZERO
+        # oracles: the zero, then the (i, j, k) cube over the atoms <= bound;
+        # restricted_universe, which test_brandt pins to a naive cube filter
+        ks = fam.support.upto(bound)
+        cube = [AtomElem(i, j, k) for i in range(bound + 1) for j in range(bound + 1) for k in ks]
+        assert list(BoundedUniverse.atoms(fam, bound).elements) == [ZERO, *cube]
+        assert list(BoundedUniverse.brandt(fam, bound).elements) == restricted_universe(fam, bound)
 
     @pytest.mark.parametrize("ctor", [BoundedUniverse.atoms, BoundedUniverse.brandt],
                              ids=["atoms", "brandt"])
@@ -531,11 +533,33 @@ class TestHomomorphismDefects:
         assert r.checked == univ.index(x) * len(univ) + univ.index(y)
 
     def test_transport_not_injective(self, monkeypatch):
-        # every transported element lands on the least atom of F2's frame
-        monkeypatch.setattr(verification, "AtomElem", lambda i, j, k: AtomElem(i, j, 0))
+        # every transported element lands on atom 2, the least atom of F2
+        monkeypatch.setattr(verification, "AtomElem", lambda i, j, k: AtomElem(i, j, 2))
         r = check_isomorphism_transport(self.F1, self.F2, 3)
         assert (r.passed, r.checked, r.counterexample, r.note) == (
             False, 0, (AtomElem(0, 0, 0), AtomElem(0, 0, 1)), "transport not injective"
+        )
+
+    def test_transport_onto_an_atom_outside_f2(self, monkeypatch):
+        # every image on atom 0, which F2 lacks: caught before the injectivity check
+        monkeypatch.setattr(verification, "AtomElem", lambda i, j, k: AtomElem(i, j, 0))
+        r = check_isomorphism_transport(self.F1, self.F2, 3)
+        assert (r.passed, r.checked, r.counterexample, r.note) == (
+            False, 0, (AtomElem(0, 0, 0), AtomElem(0, 0, 0)), "transport leaves the target family"
+        )
+
+    # a wrong offset n sends atom k of F1 to k - n; the first window element
+    # whose atom leaves F2 = {2, 3, 5} is the counterexample
+    @pytest.mark.parametrize("n, x, image", [
+        (-1, AtomElem(0, 0, 0), AtomElem(0, 0, 1)),
+        (-3, AtomElem(0, 0, 1), AtomElem(0, 0, 4)),
+        (7, AtomElem(0, 0, 0), AtomElem(0, 0, -7)),
+    ])
+    def test_transport_wrong_offset(self, monkeypatch, n, x, image):
+        monkeypatch.setattr(verification, "are_translate_equivalent", lambda f1, f2: n)
+        r = check_isomorphism_transport(self.F1, self.F2, 3)
+        assert (r.passed, r.checked, r.counterexample, r.note) == (
+            False, 0, (x, image), "transport leaves the target family"
         )
 
     @pytest.mark.parametrize("seed", range(4))

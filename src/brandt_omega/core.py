@@ -14,33 +14,23 @@ from .errors import InvalidElementError, ParseError
 from .families import AtomicFamily, _is_natural, is_natural, nat
 
 
-class Singleton:
-    """A class with one instance, bound in the class's module to the class
-    name in upper case, which is also its repr.  Copies and pickles of the
-    instance are the instance itself."""
+class Zero:
+    """Absorbing zero, shared by every element kind.  ZERO is the one
+    instance: Zero(), copies and pickles of it all give ZERO back."""
 
     __slots__ = ()
-    _instance = None
 
     def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+        return ZERO
 
     def __repr__(self) -> str:
-        return type(self).__name__.upper()
+        return "ZERO"
 
     def __reduce__(self) -> str:
-        return repr(self)  # the module-level name, for every pickle protocol
+        return "ZERO"  # the module-level name, for every pickle protocol
 
 
-class Zero(Singleton):
-    """Absorbing zero, a singleton shared by every element kind."""
-
-    __slots__ = ()
-
-
-ZERO = Zero()
+ZERO = object.__new__(Zero)
 
 
 _set = object.__setattr__  # one global lookup per field in AtomElem.__init__, run per product
@@ -104,12 +94,6 @@ def _mul(a: Elem, b: Elem) -> Elem:
     if a.j <= b.i:
         return AtomElem(a.i - a.j + b.i, b.j, b.k)
     return AtomElem(a.i, a.j - b.i + b.j, a.k)
-
-
-def multiply(a: Elem, b: Elem, f: AtomicFamily) -> Elem:
-    validate_elem(a, f)
-    validate_elem(b, f)
-    return _mul(a, b)
 
 
 def invert(x: Elem) -> Elem:

@@ -15,7 +15,6 @@ from itertools import chain, filterfalse, product, repeat
 from operator import is_
 
 from .brandt import (
-    BrandtElem,
     BrElem,
     _new,
     brandt_invert,
@@ -26,7 +25,7 @@ from .brandt import (
     restricted_universe,
     validate_restricted,
 )
-from .core import ZERO, Singleton, Zero
+from .core import ZERO
 from .errors import InvalidElementError
 from .families import AtomicFamily, _Checked, _is_natural, is_natural
 from .report import VerificationReport, check_closed
@@ -220,61 +219,17 @@ def check_prop49_condition(
 def find_zero_witness(a: BrElem, D: list[BrElem]) -> BrElem | None:
     """First d in D annihilated by a on either side, if any.
 
-    Guaranteed to exist whenever D has at least two distinct rows and two
-    distinct columns, which is the mechanism behind the tight ideal series.
+    a*d and d*a are both nonzero exactly when (row(d), col(d)) is
+    (col(a), row(a)), so a witness is missing exactly when every d in D
+    lies over that one pair; this is the mechanism behind the tight ideal
+    series.  Every candidate must be nonzero, wherever it sits in D.
     """
     if a is ZERO:
         raise InvalidElementError("witness search needs a nonzero element")
+    if ZERO in D:
+        raise InvalidElementError("witness candidates must be nonzero")
     for d in D:
-        if d is ZERO:
-            raise InvalidElementError("witness candidates must be nonzero")
         if brandt_multiply(a, d) is ZERO or brandt_multiply(d, a) is ZERO:
             return d
     return None
 
-
-class Adjoined(Singleton):
-    """Extra point adjoined to the semigroup; every product with it is zero."""
-
-    __slots__ = ()
-
-
-ADJOINED = Adjoined()
-
-ExtendedElem = Zero | BrandtElem | Adjoined
-
-
-def extended_multiply(x: ExtendedElem, y: ExtendedElem) -> ExtendedElem:
-    if isinstance(x, Adjoined) or isinstance(y, Adjoined):
-        return ZERO
-    return brandt_multiply(x, y)
-
-
-class MSeq(_Checked, namedtuple("MSeq", "entries")):
-    """Interleaved sequence (r_1,v_1,c_1), (r_2,v_2,c_2), ... with
-    r_1 < c_1 < r_2 < c_2 < ...; a finite prefix of the off-diagonal
-    neighborhood ladder of the adjoined point."""
-
-    __slots__ = ()
-
-    def __new__(cls, entries: tuple[BrandtElem, ...]) -> MSeq:
-        prev_top = -1
-        for e in entries:
-            if not (isinstance(e, BrandtElem) and all(map(is_natural, e))):
-                raise InvalidElementError("sequence entries must be nonzero triples of naturals")
-            if not (prev_top < e.row < e.col):
-                raise InvalidElementError("indices must strictly interleave")
-            prev_top = e.col
-        return super().__new__(cls, entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def mseq_nbhd_contains(seq: MSeq, n: int, e: ExtendedElem) -> bool:
-    """Membership in U_n = {adjoined point} u entries from position n on (1-based)."""
-    if not (_is_natural(n) and 1 <= n <= len(seq)):
-        raise IndexError(f"n must be in 1..{len(seq)}")
-    if isinstance(e, Adjoined):
-        return True
-    return e in seq.entries[n - 1 :]

@@ -1,10 +1,15 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 
 import strategies as sts
 from brandt_omega.core import (
+    ATOMS,
     AtomElem,
     ZERO,
+    Zero,
     elem_to_json,
     elements_upto,
     format_elem,
@@ -13,7 +18,6 @@ from brandt_omega.core import (
     invert,
     is_idempotent,
     maximal_chain_down,
-    multiply,
     nat_leq,
     nat_leq_definitional,
     parse_elem,
@@ -25,28 +29,44 @@ from general_family import GeneralFamily, SetElem, as_general, multiply_general
 E = frozenset
 
 
+def checked_mul(a, b, f):
+    """The product of two elements, each validated against f first."""
+    ATOMS.validate(a, f)
+    ATOMS.validate(b, f)
+    return ATOMS.mul(a, b)
+
+
+class TestZero:
+    def test_one_instance_through_copies_and_pickles(self):
+        assert (repr(ZERO), type(ZERO).__name__) == ("ZERO", "Zero")
+        assert Zero() is ZERO
+        assert copy.copy(ZERO) is ZERO and copy.deepcopy(ZERO) is ZERO
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(ZERO, protocol)) is ZERO, protocol
+
+
 class TestMultiply:
     def test_zero_annihilates(self, fam013):
-        assert multiply(ZERO, AtomElem(2, 3, 1), fam013) is ZERO
-        assert multiply(AtomElem(2, 3, 1), ZERO, fam013) is ZERO
+        assert checked_mul(ZERO, AtomElem(2, 3, 1), fam013) is ZERO
+        assert checked_mul(AtomElem(2, 3, 1), ZERO, fam013) is ZERO
 
     def test_examples(self, fam013):
-        assert multiply(AtomElem(0, 1, 3), AtomElem(3, 0, 1), fam013) == AtomElem(2, 0, 1)
-        assert multiply(AtomElem(0, 1, 3), AtomElem(2, 0, 1), fam013) is ZERO
-        assert multiply(AtomElem(2, 1, 1), AtomElem(1, 0, 1), fam013) == AtomElem(2, 0, 1)
+        assert checked_mul(AtomElem(0, 1, 3), AtomElem(3, 0, 1), fam013) == AtomElem(2, 0, 1)
+        assert checked_mul(AtomElem(0, 1, 3), AtomElem(2, 0, 1), fam013) is ZERO
+        assert checked_mul(AtomElem(2, 1, 1), AtomElem(1, 0, 1), fam013) == AtomElem(2, 0, 1)
 
     def test_invalid_atom_rejected(self, fam013):
         with pytest.raises(InvalidElementError):
-            multiply(AtomElem(0, 0, 2), AtomElem(0, 0, 0), fam013)
+            checked_mul(AtomElem(0, 0, 2), AtomElem(0, 0, 0), fam013)
 
     def test_negative_coordinate_named_as_typed(self, fam013):
         with pytest.raises(InvalidElementError, match=r"^negative coordinate in \(-1,2,0\)$"):
-            multiply(AtomElem(-1, 2, 0), AtomElem(0, 0, 0), fam013)
+            checked_mul(AtomElem(-1, 2, 0), AtomElem(0, 0, 0), fam013)
 
     @given(sts.fam_and_elems(n=2))
     def test_square_is_self_or_zero(self, fe):
         fam, (x, _) = fe
-        assert multiply(x, x, fam) in (x, ZERO)
+        assert checked_mul(x, x, fam) in (x, ZERO)
 
     @given(sts.fam_and_elems(n=2))
     def test_agrees_with_general_product(self, fe):
@@ -58,7 +78,7 @@ class TestMultiply:
             return ZERO if x is ZERO else SetElem(x.i, x.j, E([x.k]))
 
         got = multiply_general(lift(a), lift(b), gfam)
-        want = multiply(a, b, fam)
+        want = checked_mul(a, b, fam)
         if want is ZERO:
             assert got is ZERO
         else:
@@ -98,8 +118,8 @@ class TestInverse:
     def test_inverse_axioms(self, fe):
         fam, (x,) = fe
         xi = invert(x)
-        assert multiply(multiply(x, xi, fam), x, fam) == x
-        assert multiply(multiply(xi, x, fam), xi, fam) == xi
+        assert checked_mul(checked_mul(x, xi, fam), x, fam) == x
+        assert checked_mul(checked_mul(xi, x, fam), xi, fam) == xi
 
 
 class TestIdempotents:
@@ -111,7 +131,7 @@ class TestIdempotents:
     @given(sts.fam_and_elems(n=1))
     def test_matches_self_product(self, fe):
         fam, (x,) = fe
-        assert is_idempotent(x) == (multiply(x, x, fam) == x)
+        assert is_idempotent(x) == (checked_mul(x, x, fam) == x)
 
 
 class TestOrder:
@@ -130,7 +150,7 @@ class TestOrder:
     def test_witness_from_example(self, fam013):
         # y * e reaches x with the forced idempotent e = (j_x, j_x, k_x)
         y, x = AtomElem(1, 0, 3), AtomElem(3, 2, 1)
-        assert multiply(y, AtomElem(2, 2, 1), fam013) == x
+        assert checked_mul(y, AtomElem(2, 2, 1), fam013) == x
 
     @given(sts.fam_and_elems(n=2, max_coord=8))
     @settings(max_examples=60)

@@ -13,7 +13,7 @@ from brandt_omega.families import (
     parse_family,
     parse_support,
 )
-from brandt_omega.topology import AcNbhd, MSeq, Tau1Nbhd, tau1_annihilation_check
+from brandt_omega.topology import AcNbhd, Tau1Nbhd, tau1_annihilation_check
 from brandt_omega.verification import BoundedUniverse
 from general_family import GeneralFamily, as_general, validate_omega_closed
 
@@ -113,7 +113,6 @@ NATURAL_INPUTS = [
     ("Brandt row", lambda x: validate_restricted(BrandtElem(x, 0, 3), F_TAIL), InvalidElementError),
     ("Brandt val", lambda x: validate_restricted(BrandtElem(9, x, 9), F_TAIL), InvalidElementError),
     ("Brandt col", lambda x: validate_restricted(BrandtElem(3, 0, x), F_TAIL), InvalidElementError),
-    ("sequence entry", lambda x: MSeq((BrandtElem(x, 0, 2),)), InvalidElementError),
 ]
 
 

@@ -25,7 +25,7 @@ from brandt_omega.equations import FiniteSolutions, InfiniteZeroCase
 from brandt_omega.errors import FamilyError, InvalidElementError
 from brandt_omega.families import AtomicFamily, SupportSet, _Checked
 from brandt_omega.report import VerificationReport
-from brandt_omega.topology import AcNbhd, MSeq, Tau1Nbhd
+from brandt_omega.topology import AcNbhd, Tau1Nbhd
 from brandt_omega.verification import BoundedUniverse
 
 SUP = "SupportSet(explicit=(0, 1, 3), tail=None)"
@@ -44,10 +44,6 @@ RECORDS = [
     ("AcNbhd", lambda: AcNbhd(frozenset({(2, 5)})), lambda: AcNbhd([(2, 5), (2, 5)]),
      "AcNbhd(excluded=frozenset({(2, 5)}))", "excluded"),
     ("Tau1Nbhd", lambda: Tau1Nbhd(3), lambda: Tau1Nbhd(3), "Tau1Nbhd(n=3)", "n"),
-    ("MSeq", lambda: MSeq((BrandtElem(0, 0, 1), BrandtElem(2, 1, 4))),
-     lambda: MSeq((BrandtElem(0, 0, 1), BrandtElem(2, 1, 4))),
-     "MSeq(entries=(BrandtElem(row=0, val=0, col=1), BrandtElem(row=2, val=1, col=4)))",
-     "entries"),
     ("VerificationReport pass", lambda: VerificationReport(True, 5),
      lambda: VerificationReport(True, 5, None, ""),
      "VerificationReport(passed=True, checked=5, counterexample=None, note='')", "passed"),
@@ -122,8 +118,6 @@ REBUILDS = [
     ("AcNbhd", lambda: AcNbhd({(1, 2)})._replace(excluded={(-1, 0)}), InvalidElementError),
     ("Tau1Nbhd", lambda: Tau1Nbhd(3)._replace(n=-1), InvalidElementError),
     ("Tau1Nbhd _make", lambda: Tau1Nbhd._make([-1]), InvalidElementError),
-    ("MSeq", lambda: MSeq((BrandtElem(0, 0, 1),))._replace(entries=(BrandtElem(2, 0, 1),)),
-     InvalidElementError),
     ("VerificationReport", lambda: VerificationReport(True, 1)._replace(passed=False), ValueError),
 ]
 
@@ -143,7 +137,7 @@ def test_validating_records_share_the_one_checked_base():
                   if isinstance(cls, type) and issubclass(cls, tuple)
                   and cls.__module__.startswith("brandt_omega.")
                   and "__new__" in vars(cls) and "_fields" not in vars(cls)}
-    assert {SupportSet, AcNbhd, Tau1Nbhd, MSeq, VerificationReport} <= validating
+    assert {SupportSet, AcNbhd, Tau1Nbhd, VerificationReport} <= validating
     assert all(issubclass(cls, _Checked) for cls in validating)
 
 

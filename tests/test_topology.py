@@ -1,8 +1,6 @@
-import copy
-import pickle
 import random
 from collections import Counter
-from itertools import product
+from itertools import chain, combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -10,24 +8,19 @@ from hypothesis import given, settings
 import strategies as sts
 from brandt_omega.brandt import BrandtElem, brandt_invert, brandt_multiply, fiber, restricted_universe
 from brandt_omega import topology
-from brandt_omega.core import ZERO, Zero
+from brandt_omega.core import ZERO
 from brandt_omega.errors import InvalidElementError, NotInImageError
 from brandt_omega.families import parse_family
 from brandt_omega.topology import (
-    ADJOINED,
     _first_miss,
     AcNbhd,
-    Adjoined,
-    MSeq,
     Tau1Nbhd,
     ac_complement_size,
     check_continuity_tau1,
     check_inversion_ac,
     check_prop49_condition,
     check_shift_continuity_ac,
-    extended_multiply,
     find_zero_witness,
-    mseq_nbhd_contains,
     phi,
     psi,
     tau1_annihilation_check,
@@ -248,8 +241,23 @@ class TestZeroWitness:
     def test_rejects_zero(self):
         with pytest.raises(InvalidElementError):
             find_zero_witness(ZERO, [BrandtElem(1, 0, 2)])
-        with pytest.raises(InvalidElementError):
-            find_zero_witness(BrandtElem(1, 0, 2), [ZERO])
+        # (5;0;6) is a witness for (2;1;4) and (4;0;2) is not: the zero is an
+        # error wherever it sits
+        for D in ([ZERO], [BrandtElem(5, 0, 6), ZERO], [BrandtElem(4, 0, 2), ZERO],
+                  [ZERO, BrandtElem(5, 0, 6)]):
+            with pytest.raises(InvalidElementError, match="^witness candidates must be nonzero$"):
+                find_zero_witness(BrandtElem(2, 1, 4), D)
+
+    @pytest.mark.parametrize("support, bound", [("0,1,3", 4), ("2,5", 5), ("0,+4", 3)])
+    def test_missing_exactly_when_every_candidate_mirrors_a(self, support, bound):
+        # a*d and d*a are both nonzero exactly when (row(d), col(d)) is
+        # (col(a), row(a)), so the witness is the first d off that pair;
+        # every nonzero a against every D of one or two window elements
+        window = restricted_universe(parse_family(support), bound)[1:]
+        for a in window:
+            for D in chain(zip(window), combinations(window, 2)):
+                want = next((d for d in D if (d.row, d.col) != (a.col, a.row)), None)
+                assert find_zero_witness(a, list(D)) == want, (a, D)
 
     @given(sts.fam_and_brandt(n=5, span=8, allow_zero=False))
     @settings(max_examples=60)
@@ -260,67 +268,6 @@ class TestZeroWitness:
         cols = {d.col for d in D}
         if len(rows) >= 2 and len(cols) >= 2:
             assert find_zero_witness(a, D) is not None
-
-
-class TestExtended:
-    def test_adjoined_products_are_zero(self):
-        assert extended_multiply(ADJOINED, ADJOINED) is ZERO
-        assert extended_multiply(ADJOINED, BrandtElem(3, 1, 5)) is ZERO
-        assert extended_multiply(BrandtElem(3, 1, 5), ADJOINED) is ZERO
-
-    def test_delegates_inside(self):
-        got = extended_multiply(BrandtElem(2, 1, 4), BrandtElem(4, 3, 5))
-        assert got == BrandtElem(2, 1, 5)
-
-    def test_zero_and_adjoined_are_distinct_singletons(self):
-        assert (repr(ZERO), repr(ADJOINED), type(ZERO).__name__) == ("ZERO", "ADJOINED", "Zero")
-        assert ADJOINED is not ZERO and Zero() is ZERO and Adjoined() is ADJOINED
-        for point in (ZERO, ADJOINED):
-            assert copy.copy(point) is point and copy.deepcopy(point) is point
-            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-                assert pickle.loads(pickle.dumps(point, protocol)) is point, protocol
-
-    def test_associative_with_adjoined(self, fam013):
-        univ = restricted_universe(fam013, 2) + [ADJOINED]
-        for a, b, c in product(univ, repeat=3):
-            lhs = extended_multiply(extended_multiply(a, b), c)
-            rhs = extended_multiply(a, extended_multiply(b, c))
-            assert lhs == rhs
-
-
-class TestMSeq:
-    ENTRIES = (BrandtElem(1, 0, 2), BrandtElem(3, 1, 4), BrandtElem(5, 0, 6))
-
-    def test_contains(self):
-        seq = MSeq(self.ENTRIES)
-        assert mseq_nbhd_contains(seq, 2, BrandtElem(3, 1, 4))
-        assert not mseq_nbhd_contains(seq, 3, BrandtElem(3, 1, 4))
-        assert mseq_nbhd_contains(seq, 1, ADJOINED)
-        assert mseq_nbhd_contains(seq, 3, ADJOINED)
-
-    def test_index_errors(self):
-        seq = MSeq(self.ENTRIES)
-        with pytest.raises(IndexError):
-            mseq_nbhd_contains(seq, 0, ADJOINED)
-        with pytest.raises(IndexError):
-            mseq_nbhd_contains(seq, 4, ADJOINED)
-
-    @pytest.mark.parametrize("n", ["1", 1.0, True])
-    def test_position_must_be_a_natural(self, n):
-        with pytest.raises(IndexError):
-            mseq_nbhd_contains(MSeq(self.ENTRIES), n, ADJOINED)
-
-    def test_interleaving_enforced(self):
-        with pytest.raises(InvalidElementError):
-            MSeq((BrandtElem(2, 0, 1),))  # row >= col
-        with pytest.raises(InvalidElementError):
-            MSeq((BrandtElem(1, 0, 4), BrandtElem(3, 0, 5)))  # overlap
-
-    @pytest.mark.parametrize("entry", [ZERO, (1, 0, 2), BrandtElem(1.5, 0, 2),
-                                       BrandtElem(1, -1, 2), BrandtElem(1, 0, True)])
-    def test_entries_are_nonzero_triples_of_naturals(self, entry):
-        with pytest.raises(InvalidElementError, match="^sequence entries must be nonzero triples"):
-            MSeq((entry,))
 
 
 # --- sweeps against a naive enumeration -------------------------------------

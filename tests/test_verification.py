@@ -18,7 +18,6 @@ from brandt_omega.core import (
     ZERO,
     _mul,
     elements_upto,
-    multiply,
     nat_leq,
     nat_leq_definitional,
 )
@@ -522,9 +521,9 @@ class TestHomomorphismDefects:
         corrupt = corrupted_at(brandt_multiply, embed(x, f), embed(y, f), BrandtElem(0, 0, 0))
         monkeypatch.setattr(brandt, "brandt_multiply", corrupt)
         r = verify_embedding_homomorphism(f, 3)
-        expected = naive_homomorphism(
-            univ, lambda e: embed(e, f), lambda a, b: multiply(a, b, f), corrupt
-        )
+        for e in univ:
+            ATOMS.validate(e, f)
+        expected = naive_homomorphism(univ, lambda e: embed(e, f), ATOMS.mul, corrupt)
         assert (r.passed, r.checked, r.counterexample, r.note) == (
             *expected, "embedding not a homomorphism"
         )

@@ -110,7 +110,7 @@ def restricted_universe(f: AtomicFamily, bound: int) -> list[BrElem]:
 def verify_embedding_homomorphism(f: AtomicFamily, bound: int) -> VerificationReport:
     """Sweep all pairs with coordinates <= bound: the embedding preserves
     products and is injective on the swept universe.  The unchecked product
-    suffices, since embed validates each product."""
+    suffices, since embed validates each distinct product."""
     univ = elements_upto(f, bound)
     return check_injective_homomorphism(
         univ, lambda x: embed(x, f), ATOMS.mul, brandt_multiply,

@@ -38,7 +38,8 @@ class AcNbhd(_Checked, namedtuple("AcNbhd", "excluded")):
 
     def __new__(cls, excluded) -> AcNbhd:
         excluded = frozenset(excluded)
-        if not all(_is_natural(r) and _is_natural(c) for r, c in excluded):
+        if not all(type(p) is tuple and len(p) == 2 and _is_natural(p[0]) and _is_natural(p[1])
+                   for p in excluded):
             raise InvalidElementError("excluded pairs must be naturals")
         return super().__new__(cls, excluded)
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable
+from itertools import repeat
+from operator import itemgetter
 
 from .brandt import (
     BRANDT,
@@ -63,17 +65,19 @@ def check_associativity(
     Every element met is interned as an int id, window elements first at
     their positions.  With U the window together with its pairwise
     products, rows[a] holds the ids of a*y for y in U and left[x] the ids
-    of x*c for c in the window, so (a*b)*c for all c is the list left[a*b]
-    and a*(b*c) is rows[a] indexed by left[b].  The products computed are
-    exactly the pairs a triple-by-triple sweep asks for when it passes.
+    of x*c for c in the window, as a tuple, so (a*b)*c for all c is
+    left[a*b] and a*(b*c) is rows[a] gathered at left[b].  The products
+    computed are exactly the pairs a triple-by-triple sweep asks for when
+    it passes.
 
     One pass visits (a, b) in lexicographic order.  Most products are the
     zero, whose row is constant.  Where left[a*b] is one id t throughout
     (read off the table, never assumed, so an injected product cannot slip
     past), (a, b) passes when every id of left[b] maps to t under rows[a]:
-    one set inclusion.  Otherwise left[a*b] is compared with rows[a]
-    indexed by left[b], and the first differing c gives the same first
-    counterexample and `checked` count as a triple-by-triple sweep.
+    one set inclusion.  Otherwise rows[a] is gathered at left[b] by one
+    itemgetter, built once per b, and the tuple is compared with left[a*b];
+    the first differing c gives the same first counterexample and
+    `checked` count as a triple-by-triple sweep.
     """
     mul = product if product is not None else universe.product()
     elems = universe.elements
@@ -81,15 +85,19 @@ def check_associativity(
     ids = {x: p for p, x in enumerate(elems)}
     square = [[ids.setdefault(mul(a, c), len(ids)) for c in elems] for a in elems]
     outside = list(ids)[n:]  # U minus the window
-    left = square + [[ids.setdefault(mul(x, c), len(ids)) for c in elems] for x in outside]
+    left = [tuple(r) for r in square + [[ids.setdefault(mul(x, c), len(ids)) for c in elems]
+                                        for x in outside]]
     rows = [r + [ids.setdefault(mul(a, y), len(ids)) for y in outside]
             for a, r in zip(elems, square)]
     const = [r[0] if r.count(r[0]) == n else None for r in left]
     vals = [set(r) for r in square]
+    # With n == 1 every row is constant and a getter returns a bare id, so
+    # the comparison below is reached only when the inclusion has failed.
+    gathers = [itemgetter(*r) for r in square]
     checked = 0
     for a, row, ab_row in zip(elems, rows, square):
         hits: dict[int, set] = {}  # t -> {y : row[y] == t}, built when first needed
-        for b, ab, b_row, b_vals in zip(elems, ab_row, square, vals):
+        for b, ab, b_row, b_vals, gather in zip(elems, ab_row, square, vals, gathers):
             t = const[ab]
             if t is not None:
                 if t not in hits:
@@ -97,9 +105,9 @@ def check_associativity(
                 if b_vals <= hits[t]:
                     checked += n
                     continue
-            lhs, rhs = left[ab], list(map(row.__getitem__, b_row))
-            if lhs != rhs:
-                c = next(c for c in range(n) if lhs[c] != rhs[c])
+            lhs = left[ab]
+            if lhs != gather(row):
+                c = next(c for c, y in enumerate(b_row) if lhs[c] != row[y])
                 return VerificationReport(False, checked + c, (a, b, elems[c]),
                                           note="associativity failed")
             checked += n
@@ -139,22 +147,31 @@ def check_order_equivalence(universe: BoundedUniverse) -> VerificationReport:
     coordinate in the window.  By `_witness_products` a nonzero x = y*e has
     its witness at m <= max(j_x, j_y), within that range, so x is in the
     set of y exactly when nat_leq_definitional(x, y) holds.
+
+    Each set holds window positions, one per value; a product outside the
+    window equals no x, so dropping it is exact.  Row x is then one list of
+    nat_leq(x, y) compared with one list of memberships of x's position,
+    and the first differing y gives the pairwise sweep's report.
     """
     _require_atoms(universe)
     f = universe.family
     elems = universe.elements
     for x in elems:
         validate_elem(x, f)
+    n = len(elems)
+    pos = {x: p for p, x in enumerate(elems)}
     top = max((x.j for x in elems if x is not ZERO), default=0)
-    below = [
-        {ZERO} if y is ZERO else {ZERO, *_witness_products(y, f, top)} for y in elems
-    ]
+    below = [set(map(pos.get, [ZERO] if y is ZERO else [ZERO, *_witness_products(y, f, top)]))
+             - {None} for y in elems]
     checked = 0
     for x in elems:
-        for y, witnessed in zip(elems, below):
-            if nat_leq(x, y) != (x in witnessed):
-                return VerificationReport(False, checked, (x, y), note="order criteria disagree")
-            checked += 1
+        lhs = list(map(nat_leq, repeat(x), elems))
+        rhs = list(map(set.__contains__, below, repeat(pos[x])))
+        if lhs != rhs:
+            c = next(c for c in range(n) if lhs[c] != rhs[c])
+            return VerificationReport(False, checked + c, (x, elems[c]),
+                                      note="order criteria disagree")
+        checked += n
     return VerificationReport(True, checked, note=f"bound={universe.bound}")
 
 

@@ -47,6 +47,10 @@ def test_probe_counts():
     assert m["topology.restricted_universe_calls"] == 2
 
 
+# product calls of check_associativity in one round; topo-queries makes none
+ROUND_PRODUCT_CALLS = {"verify-sweeps": 30642, "topo-queries": 0}
+
+
 @pytest.mark.parametrize("workload", ["verify-sweeps", "topo-queries"])
 def test_traced_round_has_no_failed_operation(inputs, workload):
     ops, expected = inputs.GENERATORS[workload](1)
@@ -59,3 +63,5 @@ def test_traced_round_has_no_failed_operation(inputs, workload):
     # spans are per call of a layer; a per-element function left public
     # would add one per element, thousands in a verify-sweeps round
     assert len(res["spans"]) <= 50 * len(ops)
+    counts = res["traced"][0]["counts"]
+    assert counts.get("verification.assoc_product_calls", 0) == ROUND_PRODUCT_CALLS[workload]

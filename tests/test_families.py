@@ -100,6 +100,10 @@ NATURAL_INPUTS = [
     ("support tail", lambda x: SupportSet((0,), x), FamilyError),
     ("excluded row", lambda x: AcNbhd(frozenset({(x, 5)})), InvalidElementError),
     ("excluded col", lambda x: AcNbhd(frozenset({(2, x)})), InvalidElementError),
+    # entries that are not pairs: x alone, a 1-tuple, a triple
+    ("excluded entry", lambda x: AcNbhd(frozenset({x})), InvalidElementError),
+    ("excluded 1-tuple", lambda x: AcNbhd(frozenset({(x,)})), InvalidElementError),
+    ("excluded triple", lambda x: AcNbhd(frozenset({(1, 2, x)})), InvalidElementError),
     ("threshold", Tau1Nbhd, InvalidElementError),
     ("members bound", lambda x: Tau1Nbhd(0).members(F_TAIL, x), InvalidElementError),
     ("annihilation bound", lambda x: tau1_annihilation_check(ZERO, F_TAIL, x), InvalidElementError),
@@ -127,6 +131,12 @@ class TestNaturalInputs:
     def test_non_int_raises_the_documented_error(self, name, call, error, x):
         with pytest.raises(error):
             call(x)
+
+    # the wrong length or no tuple at all, not only a non-natural coordinate
+    @pytest.mark.parametrize("entry", [(1,), (1, 2, 3), 5, ("a", "b")], ids=repr)
+    def test_excluded_entry_not_a_pair_of_naturals(self, entry):
+        with pytest.raises(InvalidElementError, match="^excluded pairs must be naturals$"):
+            AcNbhd(frozenset({(2, 5), entry}))
 
     def test_coordinate_messages(self):
         with pytest.raises(InvalidElementError, match=r"^non-natural coordinate in \(1\.5,0,0\)$"):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -23,7 +24,7 @@ from brandt_omega.core import (
 )
 from brandt_omega.errors import InvalidElementError, NotTranslateEquivalentError
 from brandt_omega.families import AtomicFamily, SupportSet, parse_family
-from brandt_omega.report import VerificationReport
+from brandt_omega.report import VerificationReport, check_injective_homomorphism
 from brandt_omega.topology import Tau1Nbhd, tau1_self_product_check
 from brandt_omega.verification import (
     VERIFY_CHECKS,
@@ -115,6 +116,10 @@ def sent_to(mul, p, q, wrong):
 
 def outcome(report):
     return report.passed, report.checked, report.counterexample
+
+
+# where in a row of n a seeded defect sits: its first, a middle and its last column
+COLUMNS = {"first": lambda n: 0, "middle": lambda n: n // 2, "last": lambda n: n - 1}
 
 
 def single_pair_corruption(universe, rng):
@@ -217,6 +222,36 @@ class TestAssociativity:
         assert len(calls) == 6321
         assert set(calls) == set(asked) and len(asked) == 6321
 
+    @pytest.mark.parametrize("col", COLUMNS)
+    def test_first_failure_at_row_edges(self, fam013, col):
+        # (p, c) is corrupted for a product p outside the window, which is
+        # never a first factor, so only (a*b)*c with a*b == p meets it, at
+        # column c; p's row is then not constant, so the gather compares it
+        u = BoundedUniverse.atoms(fam013, 3)
+        elems, n = u.elements, len(u.elements)
+        c = COLUMNS[col](n)
+        window = set(elems)
+        p = next(r for a in elems for b in elems if (r := _mul(a, b)) not in window)
+        corrupt = sent_to(_mul, p, elems[c], elems[1] if _mul(p, elems[c]) is ZERO else ZERO)
+        r = check_associativity(u, product=corrupt)
+        assert outcome(r) == naive_associativity(u, corrupt)
+        a, b, third = r.counterexample
+        assert _mul(a, b) == p and third == elems[c] and r.checked % n == c
+
+    def test_one_element_failure(self):
+        # support {5} at bound 2: the window is the zero z alone, so every
+        # row is constant and a getter returns a bare id; (z z) z != z (z z)
+        # fails the inclusion and reaches the comparison
+        u = BoundedUniverse.atoms(parse_family("5"), 2)
+        table = {(ZERO, ZERO): AtomElem(0, 0, 5), (AtomElem(0, 0, 5), ZERO): AtomElem(1, 1, 5),
+                 (ZERO, AtomElem(0, 0, 5)): AtomElem(2, 2, 5)}
+
+        def product(a, b):
+            return table.get((a, b), ZERO)
+
+        r = check_associativity(u, product=product)
+        assert outcome(r) == naive_associativity(u, product) == (False, 0, (ZERO,) * 3)
+
     UNIVERSES = [("atoms", (0, 1, 3), 3), ("atoms", (2, 5), 3), ("brandt", (0, 1, 3), 3)]
 
     @staticmethod
@@ -290,6 +325,19 @@ class TestVerifyCheckCounts:
             assert r.passed, (name, r)
             got[name] = r.checked
         assert got == expected
+
+    def test_zero_only_universe(self):
+        # support {5} has no atom up to bound 2, so N = 1, I = 1 and R = 1
+        fam = parse_family("5")
+        assert BoundedUniverse.atoms(fam, 2).elements == (ZERO,)
+        got = {name: outcome(run(fam, 2)) for name, run, _kind in VERIFY_CHECKS}
+        assert got == {
+            "associativity": (True, 1, None),
+            "inverse-axioms": (True, 2, None),
+            "order-equivalence": (True, 1, None),
+            "embedding-homomorphism": (True, 1, None),
+            "restricted-closure": (True, 1, None),
+        }
 
 
 class TestInverseAxioms:
@@ -374,6 +422,34 @@ class TestOrderEquivalence:
         assert not r.passed and r.note == "order criteria disagree"
         assert outcome(r) == naive_order_equivalence(u)
         assert r.counterexample == (AtomElem(0, 0, 0), AtomElem(0, 1, 0))
+
+    @pytest.mark.parametrize("col", COLUMNS)
+    def test_first_failure_at_row_edges(self, fam013, monkeypatch, col):
+        u = BoundedUniverse.atoms(fam013, 3)
+        elems, n = u.elements, len(u.elements)
+        c = COLUMNS[col](n)
+        x, y = elems[n // 3], elems[c]
+        # the criterion, wrong at the one pair (x, y)
+        monkeypatch.setattr(verification, "nat_leq", lambda p, q: nat_leq(p, q) != (p == x and q == y))
+        r = check_order_equivalence(u)
+        assert outcome(r) == naive_order_equivalence(u)
+        assert r.counterexample == (x, y) and r.checked == n * (n // 3) + c
+
+    def test_calls_nat_leq_once_per_pair(self, fam013, monkeypatch):
+        u = BoundedUniverse.atoms(fam013, 3)
+        calls = []
+        monkeypatch.setattr(verification, "nat_leq", lambda x, y: calls.append((x, y)) or nat_leq(x, y))
+        r = check_order_equivalence(u)
+        assert r.passed and r.checked == len(calls) == len(u.elements) ** 2
+        assert Counter(calls) == Counter((x, y) for x in u.elements for y in u.elements)
+
+    def test_repeated_element_matches_pairwise_sweep(self, fam013):
+        # a repeated value has one window position, so x's position must be
+        # looked up by value, not taken from x's index in the sweep
+        elems = BoundedUniverse.atoms(fam013, 3).elements
+        u = BoundedUniverse(fam013, 3, ATOMS, elems + (elems[7],))
+        r = check_order_equivalence(u)
+        assert r.passed and outcome(r) == naive_order_equivalence(u)
 
 
 class TestChainStructure:
@@ -530,6 +606,37 @@ class TestHomomorphismDefects:
         # the embedding is injective, so (x, y) is the only failing pair
         assert r.counterexample == (x, y)
         assert r.checked == univ.index(x) * len(univ) + univ.index(y)
+
+    @pytest.mark.parametrize("col", COLUMNS)
+    def test_embedding_first_failure_at_row_edges(self, monkeypatch, col):
+        f = self.F1
+        univ = elements_upto(f, 3)
+        n = len(univ)
+        c = COLUMNS[col](n)
+        x, y = univ[n // 3], univ[c]
+        corrupt = corrupted_at(brandt_multiply, embed(x, f), embed(y, f), BrandtElem(0, 0, 0))
+        monkeypatch.setattr(brandt, "brandt_multiply", corrupt)
+        r = verify_embedding_homomorphism(f, 3)
+        assert outcome(r) == naive_homomorphism(univ, lambda e: embed(e, f), ATOMS.mul, corrupt)
+        assert r.counterexample == (x, y) and r.checked == n * (n // 3) + c
+
+    def test_passing_sweep_calls(self):
+        # products once per pair on each side; phi once per element, for
+        # the injectivity check, then once per distinct product value
+        f = self.F1
+        univ = elements_upto(f, 3)
+        src, dst, phis = [], [], []
+        r = check_injective_homomorphism(
+            univ, lambda x: phis.append(x) or embed(x, f),
+            lambda x, y: src.append((x, y)) or _mul(x, y),
+            lambda x, y: dst.append((x, y)) or brandt_multiply(x, y), "embedding", "")
+        n = len(univ)
+        images = [embed(x, f) for x in univ]
+        assert r.passed and r.checked == n * n
+        assert Counter(src) == Counter((x, y) for x in univ for y in univ)
+        assert Counter(dst) == Counter((fx, fy) for fx in images for fy in images)
+        assert phis[:n] == univ
+        assert Counter(phis[n:]) == Counter({_mul(x, y) for x in univ for y in univ})
 
     def test_transport_not_injective(self, monkeypatch):
         # every transported element lands on atom 2, the least atom of F2

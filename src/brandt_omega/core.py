@@ -33,23 +33,24 @@ class Zero:
 ZERO = object.__new__(Zero)
 
 
-_set = object.__setattr__  # one global lookup per field in AtomElem.__init__, run per product
-
-
 class AtomElem:
     """Nonzero element (i, j, {k}): a pair of naturals and an atom index.
 
     The one record not built on a named tuple: a tuple equals every tuple
     with the same items, and an AtomElem must never equal the BrandtElem
-    (row, val, col) with the same three numbers.
+    (row, val, col) with the same three numbers.  The slots are set once,
+    in __new__, through their member descriptors, so a second __init__
+    call cannot rewrite a live element.
     """
 
     __slots__ = ("i", "j", "k")
 
-    def __init__(self, i: int, j: int, k: int) -> None:
-        _set(self, "i", i)
-        _set(self, "j", j)
-        _set(self, "k", k)
+    def __new__(cls, i: int, j: int, k: int) -> AtomElem:
+        self = _alloc(cls)
+        _set_i(self, i)
+        _set_j(self, j)
+        _set_k(self, k)
+        return self
 
     def __setattr__(self, name: str, *value) -> None:
         raise AttributeError(f"AtomElem fields are read-only: {name!r}")
@@ -69,6 +70,12 @@ class AtomElem:
 
     def __reduce__(self):
         return AtomElem, (self.i, self.j, self.k)
+
+
+# Bound once: each is a C call in AtomElem.__new__, run per product, that
+# bypasses the class's read-only __setattr__.
+_alloc = object.__new__
+_set_i, _set_j, _set_k = (vars(AtomElem)[name].__set__ for name in AtomElem.__slots__)
 
 
 Elem = Zero | AtomElem

@@ -25,7 +25,6 @@ from .core import (
     Elem,
     ZERO,
     _mul,
-    _witness_products,
     census_atoms,
     elements_upto,
     maximal_chain_down,
@@ -139,6 +138,28 @@ def _require_atoms(universe: BoundedUniverse) -> None:
         raise InvalidElementError("this check runs on the pair-with-atom universe")
 
 
+def _witness_positions(elems, pos: dict, f: AtomicFamily) -> list[set]:
+    """For each y of elems, the positions in pos of the zero (the witness
+    e = ZERO) and of every y*(m, m, k) with m up to top, the largest second
+    coordinate in elems, and k an atom <= j_y + k_y: the nonzero products
+    of `_witness_products(y, f, top)`.
+
+    The idempotents (m, m, k) are built once, ordered by atom and then by
+    m, so the witnesses of y are a prefix of that list.  A product outside
+    pos equals no window element, so dropping it is exact.
+    """
+    nonzero = [y for y in elems if y is not ZERO]
+    top = max((y.j for y in nonzero), default=0)
+    reach = max((y.j + y.k for y in nonzero), default=0)
+    idems = [AtomElem(m, m, k) for k in f.support.upto(reach) for m in range(top + 1)]
+    count = f.support.count_upto
+    below = []
+    for y in elems:
+        witnesses = () if y is ZERO else idems[:(top + 1) * count(y.j + y.k)]
+        below.append({pos.get(ZERO), *map(pos.get, map(_mul, repeat(y), witnesses))} - {None})
+    return below
+
+
 def check_order_equivalence(universe: BoundedUniverse) -> VerificationReport:
     """The coordinate criterion agrees with the idempotent-witness order.
 
@@ -146,12 +167,14 @@ def check_order_equivalence(universe: BoundedUniverse) -> VerificationReport:
     e = ZERO) and every y*(m, m, k) with m up to the largest second
     coordinate in the window.  By `_witness_products` a nonzero x = y*e has
     its witness at m <= max(j_x, j_y), within that range, so x is in the
-    set of y exactly when nat_leq_definitional(x, y) holds.
+    set of y exactly when nat_leq_definitional(x, y) holds.  The sets come
+    from `_witness_positions`, which builds the idempotents once for all y
+    and takes the same products as `_witness_products`.
 
-    Each set holds window positions, one per value; a product outside the
-    window equals no x, so dropping it is exact.  Row x is then one list of
-    nat_leq(x, y) compared with one list of memberships of x's position,
-    and the first differing y gives the pairwise sweep's report.
+    Each set holds window positions, one per value, and is spread into a
+    row of marks per position: marks[p][y] says p is in the set of y.  Row
+    x is then one list of nat_leq(x, y) compared with the marks of x's
+    position, and the first differing y gives the pairwise sweep's report.
     """
     _require_atoms(universe)
     f = universe.family
@@ -160,13 +183,14 @@ def check_order_equivalence(universe: BoundedUniverse) -> VerificationReport:
         validate_elem(x, f)
     n = len(elems)
     pos = {x: p for p, x in enumerate(elems)}
-    top = max((x.j for x in elems if x is not ZERO), default=0)
-    below = [set(map(pos.get, [ZERO] if y is ZERO else [ZERO, *_witness_products(y, f, top)]))
-             - {None} for y in elems]
+    marks = [[False] * n for _ in range(n)]
+    for y, below in enumerate(_witness_positions(elems, pos, f)):
+        for p in below:
+            marks[p][y] = True
     checked = 0
     for x in elems:
         lhs = list(map(nat_leq, repeat(x), elems))
-        rhs = list(map(set.__contains__, below, repeat(pos[x])))
+        rhs = marks[pos[x]]
         if lhs != rhs:
             c = next(c for c in range(n) if lhs[c] != rhs[c])
             return VerificationReport(False, checked + c, (x, elems[c]),

@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import json
 import os
 import subprocess
@@ -11,11 +12,12 @@ from hypothesis import strategies as st
 
 from brandt_omega.brandt import BRANDT, BrandtElem, parse_brandt
 from brandt_omega.cli import _report, main, parse_brandt_list, parse_nbhd
-from brandt_omega.core import ATOMS, ZERO, AtomElem, parse_elem
+from brandt_omega.core import ATOMS, ZERO, AtomElem, _mul, parse_elem
 from brandt_omega.errors import ParseError
 from brandt_omega.families import parse_support
 from brandt_omega.report import VerificationReport
 from brandt_omega.topology import AcNbhd, Tau1Nbhd
+from brandt_omega.verification import BoundedUniverse, check_associativity
 
 
 def run(capsys, *argv):
@@ -229,6 +231,36 @@ class TestVerify:
         ]
         assert all(r["passed"] for r in reports)
 
+    def test_zero_only_window_is_named(self, capsys):
+        # support {5} has no atom up to bound 2: both windows hold only the zero
+        code, out, _ = run(capsys, "verify", "--family", "5", "--bound", "2")
+        assert code == 0
+        assert out == ("note: window holds only the zero: no atom <= 2\n"
+                       "associativity: pass (checked=1)\n"
+                       "inverse-axioms: pass (checked=2)\n"
+                       "order-equivalence: pass (checked=1)\n"
+                       "embedding-homomorphism: pass (checked=1)\n"
+                       "restricted-closure: pass (checked=1)\n")
+
+    def test_zero_only_window_is_named_in_json(self, capsys):
+        code, out, _ = run(capsys, "verify", "--family", "5", "--bound", "2", "--output", "json")
+        assert code == 0
+        reports = [json.loads(line) for line in out.strip().split("\n")]
+        assert [(r["passed"], r["checked"], r["note"]) for r in reports] == [
+            (True, 1, "1 elements, bound=2; window holds only the zero: no atom <= 2"),
+            (True, 2, "1 elements, 1 idempotents; window holds only the zero: no atom <= 2"),
+            (True, 1, "bound=2; window holds only the zero: no atom <= 2"),
+            (True, 1, "injective homomorphism on 1 elements; "
+                      "window holds only the zero: no atom <= 2"),
+            (True, 1, "closed under products on 1 elements; "
+                      "window holds only the zero: no atom <= 2"),
+        ]
+
+    def test_window_with_an_atom_has_no_note(self, capsys):
+        # support {5} at bound 5 holds (i, j, 5) for i, j <= 5
+        code, out, _ = run(capsys, "verify", "--family", "5", "--bound", "5")
+        assert code == 0 and "note" not in out and out.count("pass") == 5
+
     @pytest.mark.parametrize("kind, counterexample, output, lines", [
         (BRANDT, (BrandtElem(1, 0, 2), ZERO), "text", [
             "inversion: fail (counterexample=(1;0;2) O; note=x)",
@@ -270,6 +302,33 @@ class TestVerifySweepScript:
         done = run_script("verify_sweep.py", bound)
         assert done.returncode == 2 and done.stdout == ""
         assert "usage:" in done.stderr and "Traceback" not in done.stderr
+
+    def test_passing_run_exits_0(self):
+        done = run_script("verify_sweep.py", "1")
+        assert done.returncode == 0 and done.stderr == ""
+        rows = done.stdout.splitlines()[1:]
+        assert len(rows) == 25 and all(row.endswith("ms  ok") for row in rows)
+
+    def test_failing_sweep_exits_1(self, capsys, monkeypatch):
+        spec = importlib.util.spec_from_file_location("verify_sweep",
+                                                      ROOT / "scripts" / "verify_sweep.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        name, _run, kind = script.VERIFY_CHECKS[0]
+
+        def corrupted(a, b):
+            # flips the atom carried by the strict left case
+            r = _mul(a, b)
+            if r is not ZERO and a is not ZERO and b is not ZERO and a.j < b.i:
+                return AtomElem(r.i, r.j, a.k)
+            return r
+
+        bad = (name, lambda f, b: check_associativity(BoundedUniverse.atoms(f, b), corrupted), kind)
+        monkeypatch.setattr(script, "VERIFY_CHECKS", (bad, *script.VERIFY_CHECKS[1:]))
+        monkeypatch.setattr(sys, "argv", ["verify_sweep.py", "1"])
+        assert script.main() == 1
+        out = capsys.readouterr().out
+        assert "associativity" in out and "FAIL" in out
 
 
 class TestChainGalleryScript:

@@ -104,6 +104,15 @@ def test_fields_cannot_be_assigned_or_deleted(make, make_again, text, field):
     assert getattr(a, field) == before
 
 
+def test_atom_elem_second_init_leaves_it_unchanged():
+    # a rewritten element would be lost as a dict key under either value
+    a = AtomElem(1, 2, 3)
+    table = {a: "a"}
+    a.__init__(4, 5, 6)
+    assert (a.i, a.j, a.k) == (1, 2, 3)
+    assert table[AtomElem(1, 2, 3)] == "a" and AtomElem(4, 5, 6) not in table
+
+
 def test_support_membership_survives_copies():
     s = SupportSet((0, 1, 3))
     for c in [copy.copy(s), copy.deepcopy(s), *(pickle.loads(pickle.dumps(s, p))

@@ -18,6 +18,7 @@ from brandt_omega.core import (
     AtomElem,
     ZERO,
     _mul,
+    _witness_products,
     elements_upto,
     nat_leq,
     nat_leq_definitional,
@@ -450,6 +451,49 @@ class TestOrderEquivalence:
         u = BoundedUniverse(fam013, 3, ATOMS, elems + (elems[7],))
         r = check_order_equivalence(u)
         assert r.passed and outcome(r) == naive_order_equivalence(u)
+
+
+# the order sweep's witness sets against the `_witness_products` oracle;
+# support 5 at bound 2 is a window that holds only the zero
+WITNESS_CASES = pytest.mark.parametrize("support, bound", [
+    *((s, b) for s in ("0", "0,1,3", "2,5", "0,+4", "1,2,+6") for b in range(6)), ("5", 2)])
+
+
+def _window(support, bound):
+    """The atoms universe, its nonzero elements and their largest second coordinate."""
+    u = BoundedUniverse.atoms(parse_family(support), bound)
+    nonzero = [y for y in u.elements if y is not ZERO]
+    return u, nonzero, max((y.j for y in nonzero), default=0)
+
+
+class TestOrderWitnesses:
+    @WITNESS_CASES
+    def test_sets_are_the_oracles_products(self, support, bound):
+        u, _, top = _window(support, bound)
+        pos = {x: p for p, x in enumerate(u.elements)}
+        oracle = [{ZERO} if y is ZERO else {ZERO, *_witness_products(y, u.family, top)}
+                  for y in u.elements]
+        assert verification._witness_positions(u.elements, pos, u.family) == [
+            {pos[x] for x in products if x in pos} for products in oracle]
+
+    @WITNESS_CASES
+    def test_matches_pairwise_sweep(self, support, bound):
+        u, _, _ = _window(support, bound)
+        r = check_order_equivalence(u)
+        assert r.passed and outcome(r) == naive_order_equivalence(u)
+
+    @WITNESS_CASES
+    def test_each_witness_product_taken_once(self, support, bound, monkeypatch):
+        u, nonzero, top = _window(support, bound)
+        calls = Counter()
+        monkeypatch.setattr(verification, "_mul", lambda a, b: calls.update([(a, b)]) or _mul(a, b))
+        assert check_order_equivalence(u).passed
+        upto = u.family.support.upto
+        assert set(calls) == {(y, AtomElem(m, m, k)) for y in nonzero
+                              for m in range(top + 1) for k in upto(y.j + y.k)}
+        assert set(calls.values()) <= {1}
+        assert calls.total() == sum((top + 1) * u.family.support.count_upto(y.j + y.k)
+                                    for y in nonzero)
 
 
 class TestChainStructure:

@@ -2,11 +2,15 @@
 """Print maximal chains, censuses, and fiber tables for a few supports.
 
 Usage: python scripts/chain_gallery.py [support ...]
+
+Exits 0, 2 on a bad support, and 141 (128 + SIGPIPE) when the reader of
+stdout closes it early.
 """
 
 import sys
 
 from brandt_omega.brandt import fiber
+from brandt_omega.cli import exit_with
 from brandt_omega.core import AtomElem, format_elem, idempotent_chain_census, maximal_chain_down
 from brandt_omega.errors import ParseError
 from brandt_omega.families import AtomicFamily, parse_support
@@ -40,4 +44,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    exit_with(main)

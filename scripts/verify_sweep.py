@@ -3,12 +3,14 @@
 
 Usage: python scripts/verify_sweep.py [bound ...]   (default: 4 6; 6 is the CLI default)
 
-Exits 0 when every sweep passes, 1 when any fails, 2 on a bad bound.
+Exits 0 when every sweep passes, 1 when any fails, 2 on a bad bound, and
+141 (128 + SIGPIPE) when the reader of stdout closes it early.
 """
 
 import sys
 import time
 
+from brandt_omega.cli import exit_with
 from brandt_omega.families import AtomicFamily, nat, parse_support
 from brandt_omega.verification import VERIFY_CHECKS
 
@@ -37,4 +39,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    exit_with(main)

@@ -1,7 +1,9 @@
 """Batch command-line surface over the library.
 
 Exit codes: 0 success/pass, 1 verification failure, 2 parse error,
-3 semantic error (element invalid for the family, and similar).
+3 semantic error (element invalid for the family, and similar), 141 when
+the reader of stdout closes it early (128 + SIGPIPE, as a shell reports a
+tool stopped by a closed pipe).
 The environment variable BRANDT_OMEGA_BOUND overrides the default sweep
 bound of 6.
 """
@@ -13,6 +15,7 @@ import json
 import os
 import re
 import sys
+from collections.abc import Callable
 
 from . import core, equations, topology
 from .brandt import BRANDT, embed, embed_inverse, fiber
@@ -320,8 +323,21 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if isinstance(e, ParseError) else 3
 
 
+def exit_with(main: Callable[[], int | None]) -> None:
+    """sys.exit(main()), but exit 141 without a traceback if stdout's reader
+    has closed the pipe; fd 1 then points at os.devnull, so the
+    interpreter's final flush cannot raise again."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)
+
+
 def run() -> None:
-    sys.exit(main())
+    exit_with(main)
 
 
 if __name__ == "__main__":

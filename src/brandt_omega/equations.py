@@ -22,6 +22,7 @@ from .brandt import (
 from .core import ZERO
 from .errors import InvalidElementError
 from .families import AtomicFamily
+from .report import _gc_paused
 
 
 FiniteSolutions = namedtuple("FiniteSolutions", "solutions")
@@ -62,6 +63,7 @@ def solve_right(A: BrElem, B: BrElem, f: AtomicFamily) -> SolutionSet:
     return FiniteSolutions(tuple(map(brandt_invert, mirrored.solutions)))
 
 
+@_gc_paused
 def brute_force_solutions(
     A: BrElem, B: BrElem, side: str, bound: int, f: AtomicFamily
 ) -> list[BrandtElem]:

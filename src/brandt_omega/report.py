@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 from collections import namedtuple
 from collections.abc import Callable
+from functools import wraps
 from itertools import repeat
 
 from .families import _Checked
@@ -24,6 +26,37 @@ class VerificationReport(_Checked,
         if not passed and counterexample is None:
             raise ValueError("failed report must carry a counterexample")
         return super().__new__(cls, passed, checked, counterexample, note)
+
+
+def _gc_paused(sweep: Callable) -> Callable:
+    """Run sweep with the cyclic garbage collector switched off.
+
+    The Brandt window sweeps allocate thousands of short-lived tuples per
+    call, enough to trigger several collections, each of which scans and
+    promotes them; reference counting alone frees them.  The pause is safe
+    for two reasons:
+
+    - these sweeps create no reference cycles, so no cyclic garbage builds
+      up while the collector is off;
+    - the switch is process-wide, so if another thread turns the collector
+      off during a sweep, the sweep turns it back on when it ends.
+
+    The collector is switched back on only if it was on when the sweep
+    started, so nested sweeps and callers that have paused it themselves
+    find it as they left it.
+    """
+
+    @wraps(sweep)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return sweep(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return paused
 
 
 class _Images(dict):

@@ -28,7 +28,7 @@ from .brandt import (
 from .core import ZERO
 from .errors import InvalidElementError
 from .families import AtomicFamily, _Checked, _is_natural, is_natural
-from .report import VerificationReport, check_closed
+from .report import VerificationReport, _gc_paused, check_closed
 
 
 class AcNbhd(_Checked, namedtuple("AcNbhd", "excluded")):
@@ -107,6 +107,7 @@ def ac_complement_size(u: AcNbhd, f: AtomicFamily) -> int:
     return sum(f.support.count_upto(min(r, c)) for r, c in u.excluded)
 
 
+@_gc_paused
 def check_shift_continuity_ac(
     u: AcNbhd, x: BrElem, f: AtomicFamily, bound: int
 ) -> VerificationReport:
@@ -131,6 +132,7 @@ def check_shift_continuity_ac(
                               note="translate left the neighborhood")
 
 
+@_gc_paused
 def check_inversion_ac(u: AcNbhd, f: AtomicFamily, bound: int) -> VerificationReport:
     """Inversion maps the transposed-pair neighborhood into u."""
     members = AcNbhd(frozenset((c, r) for r, c in u.excluded)).members(f, bound)
@@ -142,6 +144,7 @@ def check_inversion_ac(u: AcNbhd, f: AtomicFamily, bound: int) -> VerificationRe
                               note="inverse left the neighborhood")
 
 
+@_gc_paused
 def tau1_annihilation_check(x: BrElem, f: AtomicFamily, bound: int) -> VerificationReport:
     """With n = max(row, col) + 1, both translates of U_n by x collapse to the zero."""
     if not is_natural(bound):
@@ -161,6 +164,7 @@ def tau1_annihilation_check(x: BrElem, f: AtomicFamily, bound: int) -> Verificat
                               note=f"translate by U_{n} member is nonzero")
 
 
+@_gc_paused
 def tau1_self_product_check(u: Tau1Nbhd, f: AtomicFamily, bound: int) -> VerificationReport:
     """All pairwise products of members of u stay in u."""
     members = u.members(f, bound)
@@ -199,6 +203,7 @@ def psi(x: BrElem) -> BrElem:
     return _new((x.col, x.val, x.col))
 
 
+@_gc_paused
 def check_prop49_condition(
     u: AcNbhd | Tau1Nbhd, M: list[BrElem], f: AtomicFamily, bound: int
 ) -> bool:

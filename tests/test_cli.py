@@ -287,13 +287,57 @@ class TestVerify:
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _src_env():
+    src = str(ROOT / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def run_script(name, *args):
     """Run scripts/<name> in a fresh interpreter that imports the package from src."""
-    src = str(ROOT / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_src_env())
+
+
+def read_one_line_then_close(*argv):
+    """Run argv with stdout on a pipe, read one line, close the pipe and wait;
+    return the line, the exit code and stderr."""
+    with subprocess.Popen([sys.executable, *argv], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, env=_src_env()) as proc:
+        line = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        return line, proc.wait(), err
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early stops the tool as SIGPIPE would:
+    exit 141 (128 + 13) and no traceback.  Each command prints far more than
+    a pipe buffer holds, so the write after the close must fail."""
+
+    def test_cli(self):
+        line, code, err = read_one_line_then_close(
+            "-m", "brandt_omega", "fiber", "--family", "+0", "20000", "20000")
+        assert line == "(20000;0;20000)\n"
+        assert code == 141 and "Traceback" not in err
+
+    def test_cli_with_output_left_to_flush(self):
+        # the reader is gone before the tool starts, so the final flush fails
+        r, w = os.pipe()
+        os.close(r)
+        with os.fdopen(w, "wb") as out:
+            done = subprocess.run(
+                [sys.executable, "-m", "brandt_omega", "mul", "--family", "0,1,3",
+                 "(0,1,3)", "(3,0,1)"], stdout=out, stderr=subprocess.PIPE, text=True,
+                env=_src_env())
+        assert done.returncode == 141 and done.stderr == ""
+
+    def test_script(self):
+        # 60 bounds of 1: 25 rows each, about 100 KB
+        line, code, err = read_one_line_then_close(
+            str(ROOT / "scripts" / "verify_sweep.py"), *["1"] * 60)
+        assert line.split() == ["support", "bound", "check", "checked", "time"]
+        assert code == 141 and "Traceback" not in err
 
 
 class TestVerifySweepScript:

@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 from itertools import chain, combinations, product
@@ -7,10 +8,11 @@ from hypothesis import given, settings
 
 import strategies as sts
 from brandt_omega.brandt import BrandtElem, brandt_invert, brandt_multiply, fiber, restricted_universe
-from brandt_omega import topology
+from brandt_omega import equations, topology
 from brandt_omega.core import ZERO
 from brandt_omega.errors import InvalidElementError, NotInImageError
 from brandt_omega.families import parse_family
+from brandt_omega.report import VerificationReport
 from brandt_omega.topology import (
     _first_miss,
     AcNbhd,
@@ -677,3 +679,86 @@ class TestWindowCalls:
         main(["topo", *argv, "--family", "0,1,3", "--bound", "8"])
         capsys.readouterr()
         assert len(seen) == calls
+
+
+@pytest.fixture
+def collector_restored():
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+class TestCollectorPaused:
+    """The window sweeps switch the cyclic collector off while they run and
+    leave it as they found it, whether they pass, fail or raise."""
+
+    F = parse_family("0,1,3")
+    D = BrandtElem(2, 0, 2)  # what a seeded defect returns: outside every u below
+    # name -> (call at a bound, module and global a defect replaces)
+    SWEEPS = {
+        "check_shift_continuity_ac": (
+            lambda f, b: check_shift_continuity_ac(AcNbhd({(2, 2)}), BrandtElem(3, 1, 4), f, b),
+            topology, "brandt_multiply"),
+        "check_inversion_ac": (
+            lambda f, b: check_inversion_ac(AcNbhd({(2, 2)}), f, b), topology, "brandt_invert"),
+        "tau1_annihilation_check": (
+            lambda f, b: tau1_annihilation_check(BrandtElem(2, 1, 4), f, b),
+            topology, "brandt_multiply"),
+        "tau1_self_product_check": (
+            lambda f, b: tau1_self_product_check(Tau1Nbhd(3), f, b), topology, "brandt_multiply"),
+        "check_prop49_condition": (
+            lambda f, b: check_prop49_condition(Tau1Nbhd(3), [BrandtElem(2, 0, 2)], f, b),
+            topology, "phi"),
+        "brute_force_solutions": (
+            lambda f, b: equations.brute_force_solutions(
+                BrandtElem(2, 1, 4), BrandtElem(2, 1, 5), "left", b, f),
+            equations, "brandt_multiply"),
+        # nested: runs two paused sweeps
+        "check_continuity_tau1": (
+            lambda f, b: check_continuity_tau1(Tau1Nbhd(3), BrandtElem(2, 1, 4), f, b),
+            topology, "brandt_multiply"),
+    }
+
+    @staticmethod
+    def _passed(result) -> bool:
+        return result.passed if isinstance(result, VerificationReport) else bool(result)
+
+    @pytest.mark.parametrize("outcome", ["pass", "defect", "raise"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("name", SWEEPS)
+    def test_state_restored(self, monkeypatch, collector_restored, name, enabled, outcome):
+        call, module, attr = self.SWEEPS[name]
+        if outcome == "defect":
+            monkeypatch.setattr(module, attr, lambda *args: self.D)
+        (gc.enable if enabled else gc.disable)()
+        if outcome == "raise":
+            with pytest.raises(InvalidElementError):
+                call(self.F, -1)
+        else:
+            assert self._passed(call(self.F, 8)) is (outcome == "pass")
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("name", ["check_inversion_ac", "check_shift_continuity_ac",
+                                      "brute_force_solutions"])
+    def test_no_collection_during_a_window_sweep(self, collector_restored, name):
+        f, u, x = parse_family("0,2,+7"), AcNbhd({(2, 5), (9, 3)}), BrandtElem(9, 2, 14)
+        call = {
+            "check_inversion_ac": lambda: check_inversion_ac(u, f, 25),
+            "check_shift_continuity_ac": lambda: check_shift_continuity_ac(u, x, f, 25),
+            "brute_force_solutions": lambda: equations.brute_force_solutions(
+                x, BrandtElem(9, 2, 20), "left", 25, f),
+        }[name]
+        starts = []
+
+        def hook(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.enable()
+        gc.collect()  # empty the young generation, so no collection falls due on entry
+        gc.callbacks.append(hook)
+        try:
+            call()
+        finally:
+            gc.callbacks.remove(hook)
+        assert starts == []

@@ -9,8 +9,9 @@ embedding (i, j, {k}) -> (i+k, k, j+k).
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 
 from .core import (
     ATOMS, AtomElem, Elem, ElemKind, ZERO, Zero, _parse_triple, elements_upto, validate_elem,
@@ -95,15 +96,27 @@ def embed_inverse(e: BrElem, f: AtomicFamily) -> Elem:
     return AtomElem(e.row - e.val, e.col - e.val, e.val)
 
 
+def window_runs(f: AtomicFamily, bound: int) -> Iterator[Iterator[BrandtElem]]:
+    """The nonzero restricted elements with row, col <= bound, in sorted
+    (row, val, col) order, as one lazy run per (row, val): the elements
+    (row, val, col) for col = val..bound.
+
+    Each run is built only when it is asked for; the bound is checked on
+    the call, not at the first run.
+    """
+    if not is_natural(bound):
+        raise InvalidElementError("bound must be a natural")
+    # `for rows in [...]` binds one repeat(row) per row, shared by the row's
+    # runs: the flattened runs then build as fast as the nested loops did
+    return (map(_new, zip(rows, repeat(k), range(k, bound + 1)))
+            for row in range(bound + 1) for rows in [repeat(row)] for k in f.support.upto(row))
+
+
 def restricted_universe(f: AtomicFamily, bound: int) -> list[BrElem]:
     """The zero plus every restricted element with row, col <= bound, in
     sorted (row, val, col) order."""
-    if not is_natural(bound):
-        raise InvalidElementError("bound must be a natural")
     out: list[BrElem] = [ZERO]
-    for row in range(bound + 1):
-        for k in f.support.upto(row):
-            out.extend(map(_new, zip(repeat(row), repeat(k), range(k, bound + 1))))
+    out.extend(chain.from_iterable(window_runs(f, bound)))
     return out
 
 

@@ -10,8 +10,9 @@ that is the honest computable surrogate for the cofinite sets involved.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 from functools import partial
-from itertools import chain, filterfalse, product, repeat
+from itertools import chain, filterfalse, product, repeat, tee
 from operator import is_
 
 from .brandt import (
@@ -24,6 +25,7 @@ from .brandt import (
     format_brandt,
     restricted_universe,
     validate_restricted,
+    window_runs,
 )
 from .core import ZERO
 from .errors import InvalidElementError
@@ -46,6 +48,10 @@ class AcNbhd(_Checked, namedtuple("AcNbhd", "excluded")):
     def __contains__(self, e: BrElem) -> bool:
         return e is ZERO or (e.row, e.col) not in self.excluded
 
+    def _gone(self, f: AtomicFamily, bound: int) -> set[BrElem]:
+        """The excluded fibers' elements with row, col <= bound."""
+        return {e for r, c in self.excluded if max(r, c) <= bound for e in fiber(r, c, f)}
+
     def members(self, f: AtomicFamily, bound: int) -> list[BrElem]:
         """The zero, then each member with row, col <= bound, in window order.
 
@@ -54,8 +60,14 @@ class AcNbhd(_Checked, namedtuple("AcNbhd", "excluded")):
         perfbench patches to time the window.
         """
         window = restricted_universe(f, bound)
-        gone = {e for r, c in self.excluded if max(r, c) <= bound for e in fiber(r, c, f)}
-        return list(filterfalse(gone.__contains__, window))
+        return list(filterfalse(self._gone(f, bound).__contains__, window))
+
+    def runs(self, f: AtomicFamily, bound: int) -> Iterator[Iterator[BrElem]]:
+        """The nonzero members, lazily: each run of window_runs without the
+        excluded fibers' elements."""
+        runs = window_runs(f, bound)
+        gone = self._gone(f, bound).__contains__
+        return (filterfalse(gone, run) for run in runs)
 
 
 class Tau1Nbhd(_Checked, namedtuple("Tau1Nbhd", "n")):
@@ -72,19 +84,26 @@ class Tau1Nbhd(_Checked, namedtuple("Tau1Nbhd", "n")):
         return e is ZERO or self.n <= e.row < e.col
 
     def members(self, f: AtomicFamily, bound: int) -> list[BrElem]:
-        """The zero, then each member with row, col <= bound, in window order:
-        rows n..bound, atoms k <= row, cols row+1..bound.
+        """The zero, then each member with row, col <= bound, in window order."""
+        out: list[BrElem] = [ZERO]
+        out.extend(chain.from_iterable(self.runs(f, bound)))
+        return out
 
-        Generated directly, since the window around it is mostly discarded.
+    def runs(self, f: AtomicFamily, bound: int) -> Iterator[Iterator[BrElem]]:
+        """The nonzero members, lazily, one run per (row, val): rows
+        n..bound-1, atoms k <= row, cols row+1..bound (row bound has none).
+
+        Generated directly, since the window around them is mostly discarded.
+        The bound is checked on the call, not at the first run.
         """
         if not is_natural(bound):
             raise InvalidElementError("bound must be a natural")
-        out: list[BrElem] = [ZERO]
-        for row in range(self.n, bound + 1):
-            cols = range(row + 1, bound + 1)
-            for k in f.support.upto(row):
-                out.extend(map(_new, zip(repeat(row), repeat(k), cols)))
-        return out
+        # `for ... in [...]` binds the row's repeat and cols once, shared by its runs,
+        # as in brandt.window_runs
+        return (map(_new, zip(rows, repeat(k), cols))
+                for row in range(self.n, bound)
+                for rows, cols in [(repeat(row), range(row + 1, bound + 1))]
+                for k in f.support.upto(row))
 
 
 _is_zero = partial(is_, ZERO)
@@ -212,14 +231,24 @@ def check_prop49_condition(
     A true answer exhibits the neighborhood as a witness against closedness
     of the topology in ambient topological semigroups, at the swept bound.
     Every element of M must be a restricted idempotent of f.
+
+    The scan tests the zero, then walks u's runs in window order, calling
+    phi(e) and psi(e) member by member.  It stops at the first witness, the
+    first member with an image in M, and builds no run after the witness's
+    run; a passing scan holds a few members at a time, never the window.
     """
     for m in M:
         validate_restricted(m, f)
         if not brandt_is_idempotent(m):
             raise InvalidElementError(f"non-idempotent in M: {format_brandt(m)}")
-    members = u.members(f, bound)
-    # phi(e), psi(e) member by member, so the scan stops at the first image in M
-    return set(M).isdisjoint(chain.from_iterable(zip(map(phi, members), map(psi, members))))
+    runs = u.runs(f, bound)  # checks the bound, even when the zero answers
+    ms = set(M)
+    if not ms.isdisjoint((phi(ZERO), psi(ZERO))):
+        return False
+    # tee, not a list per run: it keeps each member for its two images and
+    # measured faster than a list per run on the short runs of bound 25
+    a, b = tee(chain.from_iterable(runs))
+    return ms.isdisjoint(chain.from_iterable(zip(map(phi, a), map(psi, b))))
 
 
 def find_zero_witness(a: BrElem, D: list[BrElem]) -> BrElem | None:

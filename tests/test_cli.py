@@ -375,20 +375,6 @@ class TestVerifySweepScript:
         assert "associativity" in out and "FAIL" in out
 
 
-class TestChainGalleryScript:
-    @pytest.mark.parametrize("support", ["x", "0,1,3 3,+2"])
-    def test_bad_support_is_a_usage_error(self, support):
-        done = run_script("chain_gallery.py", *support.split())
-        assert done.returncode == 2 and done.stdout == ""
-        assert "usage:" in done.stderr and "Traceback" not in done.stderr
-
-    def test_default_run(self):
-        done = run_script("chain_gallery.py")
-        assert done.returncode == 0 and done.stderr == ""
-        assert "== support 0,1,3 ==" in done.stdout
-        assert "(0,0,3) > (2,2,1) > (3,3,0) > 0" in done.stdout
-
-
 class TestBoundary:
     @pytest.mark.parametrize("argv, bound_env", [
         (["mul", "--family", "0", "(²,0,0)", "0"], None),

@@ -1,13 +1,16 @@
 import gc
 import random
 from collections import Counter
+from functools import partial
 from itertools import chain, combinations, product
 
 import pytest
 from hypothesis import given, settings
 
 import strategies as sts
-from brandt_omega.brandt import BrandtElem, brandt_invert, brandt_multiply, fiber, restricted_universe
+from brandt_omega.brandt import (
+    BrandtElem, brandt_invert, brandt_multiply, fiber, restricted_universe, window_runs,
+)
 from brandt_omega import equations, topology
 from brandt_omega.core import ZERO
 from brandt_omega.errors import InvalidElementError, NotInImageError
@@ -28,6 +31,11 @@ from brandt_omega.topology import (
     tau1_annihilation_check,
     tau1_self_product_check,
 )
+
+
+# pairs past the bound and pairs with empty fibers among them
+AC_EXCLUDED_SETS = [(), ((2, 5),), ((0, 0), (1, 9), (3, 1)), ((13, 4), (4, 40), (99, 99)),
+                    ((3, 3), (6, 2), (12, 12), (12, 30)), tuple(product(range(6), repeat=2))]
 
 
 class TestAcNbhd:
@@ -69,14 +77,11 @@ class TestAcNbhd:
 
     @pytest.mark.parametrize("support", ["0,1,3", "0,2,+7", "2,5", "5"])
     def test_members_match_the_filtered_window(self, support):
-        # oracle: the window filtered by the membership predicate; the
-        # excluded sets hold pairs past the bound and pairs with empty fibers
+        # oracle: the window filtered by the membership predicate
         f = parse_family(support)
-        excluded_sets = [(), ((2, 5),), ((0, 0), (1, 9), (3, 1)), ((13, 4), (4, 40), (99, 99)),
-                         ((3, 3), (6, 2), (12, 12), (12, 30)), tuple(product(range(6), repeat=2))]
         for bound in range(13):
             window = restricted_universe(f, bound)
-            for excluded in excluded_sets:
+            for excluded in AC_EXCLUDED_SETS:
                 u = AcNbhd(frozenset(excluded))
                 assert u.members(f, bound) == [e for e in window if e in u], (bound, excluded)
 
@@ -176,6 +181,54 @@ class TestTau1:
         assert check_continuity_tau1(Tau1Nbhd(3), ZERO, fam013, 8).passed
 
 
+def _run_lists(runs):
+    """Each run as a list, the last run consumed first: runs are iterators
+    that must not depend on the order they are consumed in."""
+    runs = list(runs)
+    assert all(iter(run) is run for run in runs)
+    return [list(run) for run in reversed(runs)][::-1]
+
+
+@pytest.mark.parametrize("support", ["0,1,3", "0,2,+7", "2,5", "5", "0,+4"])
+class TestRuns:
+    """The window and each neighbourhood kind as lazy runs: flattened after
+    the zero they are restricted_universe and `members`, in window order."""
+
+    def test_window_runs_flatten_to_the_universe(self, support):
+        f = parse_family(support)
+        for bound in range(13):
+            lists = _run_lists(window_runs(f, bound))
+            assert [ZERO, *chain.from_iterable(lists)] == restricted_universe(f, bound), bound
+            # one run per (row, val): cols val..bound
+            keys = [(row, k) for row in range(bound + 1) for k in f.support.upto(row)]
+            assert lists == [[BrandtElem(r, k, c) for c in range(k, bound + 1)] for r, k in keys]
+
+    def test_tau1_runs_flatten_to_the_members(self, support):
+        f = parse_family(support)
+        for bound in range(13):
+            for n in range(bound + 3):
+                u = Tau1Nbhd(n)
+                lists = _run_lists(u.runs(f, bound))
+                assert [ZERO, *chain.from_iterable(lists)] == u.members(f, bound), (bound, n)
+
+    def test_ac_runs_flatten_to_the_members(self, support):
+        f = parse_family(support)
+        for bound in range(13):
+            for excluded in AC_EXCLUDED_SETS:
+                u = AcNbhd(frozenset(excluded))
+                lists = _run_lists(u.runs(f, bound))
+                assert [ZERO, *chain.from_iterable(lists)] == u.members(f, bound), (bound, excluded)
+
+    @pytest.mark.parametrize("bound", [-1, True, False, 2.0])
+    def test_bad_bound_raises_on_the_call(self, support, bound):
+        # lazy runs must not defer the check to the first run
+        f = parse_family(support)
+        for runs in (partial(window_runs, f), partial(Tau1Nbhd(0).runs, f),
+                     partial(AcNbhd({(2, 5)}).runs, f)):
+            with pytest.raises(InvalidElementError, match="^bound must be a natural$"):
+                runs(bound)
+
+
 class TestPhiPsi:
     def test_examples(self):
         assert phi(BrandtElem(3, 1, 5)) == BrandtElem(3, 1, 3)
@@ -231,6 +284,41 @@ class TestProp49:
         # a negative bound sweeps nothing, so it would pass vacuously
         with pytest.raises(InvalidElementError, match="bound must be a natural"):
             check_prop49_condition(Tau1Nbhd(1), [BrandtElem(5, 0, 5)], fam013, -3)
+
+    @pytest.mark.parametrize("u", [Tau1Nbhd(1), AcNbhd({(2, 5)})], ids=["t1", "ac"])
+    @pytest.mark.parametrize("M", [[], [ZERO]], ids=["empty", "zero"])
+    @pytest.mark.parametrize("bound", [-1, -3, True, False])
+    def test_bad_bound_raises_whatever_m_holds(self, fam013, u, M, bound):
+        # the answer is known before any run, but the bound is still checked
+        with pytest.raises(InvalidElementError, match="^bound must be a natural$"):
+            check_prop49_condition(u, M, fam013, bound)
+
+    @pytest.mark.parametrize("u", [Tau1Nbhd(1), AcNbhd({(2, 5)})], ids=["t1", "ac"])
+    def test_zero_in_m_answers_false_before_any_run(self, monkeypatch, fam013, u):
+        consumed = []
+        runs = type(u).runs
+
+        def counted(self, f, bound):
+            for run in runs(self, f, bound):
+                consumed.append(run)
+                yield run
+
+        monkeypatch.setattr(type(u), "runs", counted)
+        for M in ([ZERO], [BrandtElem(5, 0, 5), ZERO]):
+            assert check_prop49_condition(u, M, fam013, 8) is False
+        assert consumed == []
+
+    @pytest.mark.parametrize("support", ["0,1,3", "2,5", "0,+4", "5"])
+    def test_bound_zero_matches_naive(self, support):
+        f = parse_family(support)
+        Ms = [[], [ZERO]] + ([[BrandtElem(0, 0, 0)]] if 0 in f.support else [])
+        for M in Ms:
+            for n in range(3):
+                got = check_prop49_condition(Tau1Nbhd(n), M, f, 0)
+                assert got == naive_prop49(lambda e: _t1_in(n, e), set(M), f, 0), (n, M)
+            for excluded in ((), ((0, 0),), ((0, 1), (1, 0))):
+                got = check_prop49_condition(AcNbhd(frozenset(excluded)), M, f, 0)
+                assert got == naive_prop49(lambda e: _ac_in(set(excluded), e), set(M), f, 0)
 
 
 class TestZeroWitness:
@@ -652,18 +740,63 @@ class TestEveryProductComputed:
         assert Counter(phis) == Counter(psis) == Counter((e,) for e in members)
 
 
+class TestProp49EarlyStop:
+    """A failing prop49 query stops at its first witness, the first member in
+    window order whose phi- or psi-image lies in M: its phi and psi calls are
+    the naive prefix that ends there, and no run after the witness's run is
+    built."""
+
+    @pytest.mark.parametrize("support, bound", [("0,1,3", 6), ("0,1,3", 9), ("0,2,+7", 9), ("2,5", 8)])
+    def test_calls_end_at_the_first_witness(self, monkeypatch, support, bound):
+        f = parse_family(support)
+        diag = [BrandtElem(p, k, p) for p in range(bound + 1) for k in f.support.upto(p)]
+        rng = random.Random(bound)
+        Ms = [[m] for m in diag] + [rng.sample(diag, 3) for _ in range(10)]
+        nbhds = [Tau1Nbhd(n) for n in range(bound + 1)] + [AcNbhd(frozenset(e)) for e in EXCLUDED]
+        # each query's members and runs, before the patches below
+        queries = [(u, M, [e for e in restricted_universe(f, bound) if e in u],
+                    [list(run) for run in u.runs(f, bound)]) for u in nbhds for M in Ms]
+
+        calls, built = [], []
+        for name, fn in (("phi", phi), ("psi", psi)):
+            monkeypatch.setattr(topology, name, lambda e, name=name, fn=fn: calls.append((name, e)) or fn(e))
+        for cls in (Tau1Nbhd, AcNbhd):
+            def counted(self, f, bound, runs=cls.runs):
+                for run in runs(self, f, bound):
+                    built.append(run)
+                    yield run
+
+            monkeypatch.setattr(cls, "runs", counted)
+
+        failing = 0
+        for u, M, members, runs in queries:
+            w = next((i for i, e in enumerate(members) if phi(e) in M or psi(e) in M), None)
+            calls.clear()
+            built.clear()
+            assert check_prop49_condition(u, M, f, bound) is (w is None)
+            if w is None:
+                continue
+            failing += 1
+            assert calls == [(name, e) for e in members[:w + 1] for name in ("phi", "psi")], (u, M)
+            # the zero comes before the first run
+            witness_run = 0 if w == 0 else 1 + next(i for i, run in enumerate(runs) if members[w] in run)
+            assert len(built) == witness_run, (u, M)
+        assert failing > len(queries) // 2
+
+
 class TestWindowCalls:
     """perfbench/child.py counts the calls each query makes to the module
-    global `topology.restricted_universe`.  An `ac` sweep reads its window
-    through that name, once per sweep; a τ1 sweep generates its members and
-    never reads the window."""
+    global `topology.restricted_universe`.  Only the `ac` continuity and
+    inversion sweeps read the window through that name, once per sweep;
+    the τ1 sweeps generate their members, and prop49 walks the runs of
+    either kind, so neither reads it."""
 
     @pytest.mark.parametrize("argv, calls", [
         (["ac-check", "--nbhd", "ac:(2,5)(3,4)", "--elem", "(3;1;4)"], 2),
         (["t1-check", "--n", "3", "--elem", "(2;1;4)"], 0),
         (["t1-check", "--n", "3"], 0),
         (["prop49", "--nbhd", "t1:3", "--m", "(2;0;2)"], 0),
-        (["prop49", "--nbhd", "ac:(5,5)", "--m", "(5;0;5)"], 1),
+        (["prop49", "--nbhd", "ac:(5,5)", "--m", "(5;0;5)"], 0),
     ], ids=["ac-check", "t1-check-elem", "t1-self-product", "prop49-t1", "prop49-ac"])
     def test_restricted_universe_calls_per_query(self, monkeypatch, capsys, argv, calls):
         from brandt_omega.cli import main

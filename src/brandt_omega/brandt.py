@@ -11,13 +11,13 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, product
 
 from .core import (
     ATOMS, AtomElem, Elem, ElemKind, ZERO, Zero, _parse_triple, elements_upto, validate_elem,
 )
 from .errors import InvalidElementError, NotInImageError
-from .families import AtomicFamily, _is_natural, is_natural
+from .families import AtomicFamily, _is_natural, _natural_bound
 from .report import VerificationReport, check_closed, check_injective_homomorphism
 
 class BrandtElem(namedtuple("BrandtElem", "row val col")):
@@ -96,27 +96,19 @@ def embed_inverse(e: BrElem, f: AtomicFamily) -> Elem:
     return AtomElem(e.row - e.val, e.col - e.val, e.val)
 
 
-def window_runs(f: AtomicFamily, bound: int) -> Iterator[Iterator[BrandtElem]]:
-    """The nonzero restricted elements with row, col <= bound, in sorted
-    (row, val, col) order, as one lazy run per (row, val): the elements
-    (row, val, col) for col = val..bound.
-
-    Each run is built only when it is asked for; the bound is checked on
-    the call, not at the first run.
-    """
-    if not is_natural(bound):
-        raise InvalidElementError("bound must be a natural")
-    # `for rows in [...]` binds one repeat(row) per row, shared by the row's
-    # runs: the flattened runs then build as fast as the nested loops did
-    return (map(_new, zip(rows, repeat(k), range(k, bound + 1)))
-            for row in range(bound + 1) for rows in [repeat(row)] for k in f.support.upto(row))
+def window(f: AtomicFamily, bound: int) -> Iterator[BrandtElem]:
+    """The nonzero restricted elements with row, col <= bound, lazily, in
+    sorted (row, val, col) order.  The bound is checked on the call."""
+    _natural_bound(bound)
+    return map(_new, chain.from_iterable(product((row,), (k,), range(k, bound + 1))
+                                         for row in range(bound + 1) for k in f.support.upto(row)))
 
 
 def restricted_universe(f: AtomicFamily, bound: int) -> list[BrElem]:
-    """The zero plus every restricted element with row, col <= bound, in
-    sorted (row, val, col) order."""
+    """The zero, then the window: every restricted element with
+    row, col <= bound, in sorted (row, val, col) order."""
     out: list[BrElem] = [ZERO]
-    out.extend(chain.from_iterable(window_runs(f, bound)))
+    out.extend(window(f, bound))
     return out
 
 

@@ -11,7 +11,7 @@ from collections import namedtuple
 from collections.abc import Callable
 
 from .errors import InvalidElementError, ParseError
-from .families import AtomicFamily, _is_natural, is_natural, nat
+from .families import AtomicFamily, _is_natural, _natural_bound, nat
 
 
 class Zero:
@@ -185,8 +185,7 @@ def maximal_chain_down(x: Elem, f: AtomicFamily) -> list[Elem]:
 def census_atoms(f: AtomicFamily, bound: int) -> list[int]:
     """Atoms entering a census at this bound: the whole support when it is
     finite, the first bound+1 elements otherwise."""
-    if not is_natural(bound):
-        raise InvalidElementError("bound must be a natural")
+    _natural_bound(bound)
     if f.support.tail is None:
         return list(f.support.explicit)
     return [f.support.kth(m) for m in range(bound + 1)]
@@ -199,8 +198,7 @@ def idempotent_chain_census(f: AtomicFamily, bound: int) -> dict[int, int]:
 
 def elements_upto(f: AtomicFamily, bound: int) -> list[Elem]:
     """The zero plus every (i, j, k) with i, j <= bound and atom k <= bound."""
-    if not is_natural(bound):
-        raise InvalidElementError("bound must be a natural")
+    _natural_bound(bound)
     out: list[Elem] = [ZERO]
     ks = f.support.upto(bound)
     for i in range(bound + 1):

@@ -12,7 +12,7 @@ import sys
 from bisect import bisect_right
 from collections import namedtuple
 
-from .errors import FamilyError, ParseError
+from .errors import FamilyError, InvalidElementError, ParseError
 
 
 def nat(text: str) -> int | None:
@@ -33,6 +33,13 @@ def is_natural(x) -> bool:
 
 # Per-element checks call this private name, which perfbench's span tracer leaves unwrapped.
 _is_natural = is_natural
+
+
+def _natural_bound(bound) -> None:
+    """Reject a sweep bound that is not a natural, with the one message every
+    bounded builder and check gives."""
+    if not is_natural(bound):
+        raise InvalidElementError("bound must be a natural")
 
 
 class _Checked:

@@ -25,11 +25,11 @@ from .brandt import (
     format_brandt,
     restricted_universe,
     validate_restricted,
-    window_runs,
+    window,
 )
 from .core import ZERO
 from .errors import InvalidElementError
-from .families import AtomicFamily, _Checked, _is_natural, is_natural
+from .families import AtomicFamily, _Checked, _is_natural, _natural_bound, is_natural
 from .report import VerificationReport, _gc_paused, check_closed
 
 
@@ -59,15 +59,14 @@ class AcNbhd(_Checked, namedtuple("AcNbhd", "excluded")):
         within the bound from the module global restricted_universe, which
         perfbench patches to time the window.
         """
-        window = restricted_universe(f, bound)
-        return list(filterfalse(self._gone(f, bound).__contains__, window))
+        univ = restricted_universe(f, bound)
+        return list(filterfalse(self._gone(f, bound).__contains__, univ))
 
-    def runs(self, f: AtomicFamily, bound: int) -> Iterator[Iterator[BrElem]]:
-        """The nonzero members, lazily: each run of window_runs without the
-        excluded fibers' elements."""
-        runs = window_runs(f, bound)
-        gone = self._gone(f, bound).__contains__
-        return (filterfalse(gone, run) for run in runs)
+    def nonzero(self, f: AtomicFamily, bound: int) -> Iterator[BrElem]:
+        """The nonzero members, lazily: the window without the excluded
+        fibers' elements.  The bound is checked on the call."""
+        stream = window(f, bound)
+        return filterfalse(self._gone(f, bound).__contains__, stream)
 
 
 class Tau1Nbhd(_Checked, namedtuple("Tau1Nbhd", "n")):
@@ -86,24 +85,20 @@ class Tau1Nbhd(_Checked, namedtuple("Tau1Nbhd", "n")):
     def members(self, f: AtomicFamily, bound: int) -> list[BrElem]:
         """The zero, then each member with row, col <= bound, in window order."""
         out: list[BrElem] = [ZERO]
-        out.extend(chain.from_iterable(self.runs(f, bound)))
+        out.extend(self.nonzero(f, bound))
         return out
 
-    def runs(self, f: AtomicFamily, bound: int) -> Iterator[Iterator[BrElem]]:
-        """The nonzero members, lazily, one run per (row, val): rows
-        n..bound-1, atoms k <= row, cols row+1..bound (row bound has none).
+    def nonzero(self, f: AtomicFamily, bound: int) -> Iterator[BrElem]:
+        """The nonzero members, lazily, in window order: rows n..bound-1,
+        atoms k <= row, cols row+1..bound (row bound has none).
 
         Generated directly, since the window around them is mostly discarded.
-        The bound is checked on the call, not at the first run.
+        The bound is checked on the call.
         """
-        if not is_natural(bound):
-            raise InvalidElementError("bound must be a natural")
-        # `for ... in [...]` binds the row's repeat and cols once, shared by its runs,
-        # as in brandt.window_runs
-        return (map(_new, zip(rows, repeat(k), cols))
-                for row in range(self.n, bound)
-                for rows, cols in [(repeat(row), range(row + 1, bound + 1))]
-                for k in f.support.upto(row))
+        _natural_bound(bound)
+        rows = (product((row,), f.support.upto(row), range(row + 1, bound + 1))
+                for row in range(self.n, bound))
+        return map(_new, chain.from_iterable(rows))
 
 
 _is_zero = partial(is_, ZERO)
@@ -166,8 +161,7 @@ def check_inversion_ac(u: AcNbhd, f: AtomicFamily, bound: int) -> VerificationRe
 @_gc_paused
 def tau1_annihilation_check(x: BrElem, f: AtomicFamily, bound: int) -> VerificationReport:
     """With n = max(row, col) + 1, both translates of U_n by x collapse to the zero."""
-    if not is_natural(bound):
-        raise InvalidElementError("bound must be a natural")
+    _natural_bound(bound)
     validate_restricted(x, f)
     if x is ZERO:
         return VerificationReport(True, 0, note="zero translates are trivially zero")
@@ -232,22 +226,21 @@ def check_prop49_condition(
     of the topology in ambient topological semigroups, at the swept bound.
     Every element of M must be a restricted idempotent of f.
 
-    The scan tests the zero, then walks u's runs in window order, calling
-    phi(e) and psi(e) member by member.  It stops at the first witness, the
-    first member with an image in M, and builds no run after the witness's
-    run; a passing scan holds a few members at a time, never the window.
+    The scan tests the zero, then draws u's nonzero members one at a time
+    in window order, calling phi(e) and psi(e) on each.  It stops at the
+    first witness, the first member with an image in M, and draws no member
+    after it; a passing scan holds a few members at a time, never the window.
     """
     for m in M:
         validate_restricted(m, f)
         if not brandt_is_idempotent(m):
             raise InvalidElementError(f"non-idempotent in M: {format_brandt(m)}")
-    runs = u.runs(f, bound)  # checks the bound, even when the zero answers
+    stream = u.nonzero(f, bound)  # checks the bound, even when the zero answers
     ms = set(M)
     if not ms.isdisjoint((phi(ZERO), psi(ZERO))):
         return False
-    # tee, not a list per run: it keeps each member for its two images and
-    # measured faster than a list per run on the short runs of bound 25
-    a, b = tee(chain.from_iterable(runs))
+    # tee keeps each member until both its phi and psi images are taken
+    a, b = tee(stream)
     return ms.isdisjoint(chain.from_iterable(zip(map(phi, a), map(psi, b))))
 
 

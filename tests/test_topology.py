@@ -2,16 +2,16 @@ import gc
 import random
 from collections import Counter
 from functools import partial
-from itertools import chain, combinations, product
+from itertools import chain, combinations, islice, product
 
 import pytest
 from hypothesis import given, settings
 
 import strategies as sts
 from brandt_omega.brandt import (
-    BrandtElem, brandt_invert, brandt_multiply, fiber, restricted_universe, window_runs,
+    BrandtElem, brandt_invert, brandt_multiply, fiber, restricted_universe, window,
 )
-from brandt_omega import equations, topology
+from brandt_omega import brandt, equations, topology
 from brandt_omega.core import ZERO
 from brandt_omega.errors import InvalidElementError, NotInImageError
 from brandt_omega.families import parse_family
@@ -181,52 +181,59 @@ class TestTau1:
         assert check_continuity_tau1(Tau1Nbhd(3), ZERO, fam013, 8).passed
 
 
-def _run_lists(runs):
-    """Each run as a list, the last run consumed first: runs are iterators
-    that must not depend on the order they are consumed in."""
-    runs = list(runs)
-    assert all(iter(run) is run for run in runs)
-    return [list(run) for run in reversed(runs)][::-1]
-
-
 @pytest.mark.parametrize("support", ["0,1,3", "0,2,+7", "2,5", "5", "0,+4"])
 class TestRuns:
-    """The window and each neighbourhood kind as lazy runs: flattened after
-    the zero they are restricted_universe and `members`, in window order."""
+    """The window and each neighbourhood kind as one lazy stream of nonzero
+    members: after the zero it is restricted_universe or `members`, and the
+    window filtered by membership, in window order."""
 
     def test_window_runs_flatten_to_the_universe(self, support):
         f = parse_family(support)
         for bound in range(13):
-            lists = _run_lists(window_runs(f, bound))
-            assert [ZERO, *chain.from_iterable(lists)] == restricted_universe(f, bound), bound
-            # one run per (row, val): cols val..bound
-            keys = [(row, k) for row in range(bound + 1) for k in f.support.upto(row)]
-            assert lists == [[BrandtElem(r, k, c) for c in range(k, bound + 1)] for r, k in keys]
+            stream = window(f, bound)
+            assert iter(stream) is stream
+            naive = [BrandtElem(r, k, c) for r in range(bound + 1) for k in f.support.upto(r)
+                     for c in range(k, bound + 1)]
+            assert [ZERO, *stream] == restricted_universe(f, bound) == [ZERO, *naive], bound
 
     def test_tau1_runs_flatten_to_the_members(self, support):
         f = parse_family(support)
         for bound in range(13):
+            univ = restricted_universe(f, bound)
             for n in range(bound + 3):
                 u = Tau1Nbhd(n)
-                lists = _run_lists(u.runs(f, bound))
-                assert [ZERO, *chain.from_iterable(lists)] == u.members(f, bound), (bound, n)
+                got = [ZERO, *u.nonzero(f, bound)]
+                assert got == u.members(f, bound) == [e for e in univ if e in u], (bound, n)
 
     def test_ac_runs_flatten_to_the_members(self, support):
         f = parse_family(support)
         for bound in range(13):
+            univ = restricted_universe(f, bound)
             for excluded in AC_EXCLUDED_SETS:
                 u = AcNbhd(frozenset(excluded))
-                lists = _run_lists(u.runs(f, bound))
-                assert [ZERO, *chain.from_iterable(lists)] == u.members(f, bound), (bound, excluded)
+                got = [ZERO, *u.nonzero(f, bound)]
+                assert got == u.members(f, bound) == [e for e in univ if e in u], (bound, excluded)
 
     @pytest.mark.parametrize("bound", [-1, True, False, 2.0])
     def test_bad_bound_raises_on_the_call(self, support, bound):
-        # lazy runs must not defer the check to the first run
+        # a lazy stream must not defer the check to its first member
         f = parse_family(support)
-        for runs in (partial(window_runs, f), partial(Tau1Nbhd(0).runs, f),
-                     partial(AcNbhd({(2, 5)}).runs, f)):
+        for stream in (partial(window, f), partial(Tau1Nbhd(0).nonzero, f),
+                       partial(AcNbhd({(2, 5)}).nonzero, f)):
             with pytest.raises(InvalidElementError, match="^bound must be a natural$"):
-                runs(bound)
+                stream(bound)
+
+    def test_streams_build_only_the_members_drawn(self, monkeypatch, support):
+        f = parse_family(support)
+        built = []
+        new = brandt._new
+        for module in (brandt, topology):
+            monkeypatch.setattr(module, "_new", lambda t: built.append(t) or new(t))
+        # (2, 5)'s fiber lies past the first three members for every support here
+        for stream in (window(f, 12), Tau1Nbhd(0).nonzero(f, 12), AcNbhd({(2, 5)}).nonzero(f, 12)):
+            built.clear()
+            first = list(islice(stream, 3))
+            assert built == [tuple(e) for e in first] and len(first) == 3
 
 
 class TestPhiPsi:
@@ -295,18 +302,13 @@ class TestProp49:
 
     @pytest.mark.parametrize("u", [Tau1Nbhd(1), AcNbhd({(2, 5)})], ids=["t1", "ac"])
     def test_zero_in_m_answers_false_before_any_run(self, monkeypatch, fam013, u):
-        consumed = []
-        runs = type(u).runs
-
-        def counted(self, f, bound):
-            for run in runs(self, f, bound):
-                consumed.append(run)
-                yield run
-
-        monkeypatch.setattr(type(u), "runs", counted)
+        drawn = []
+        nonzero = type(u).nonzero
+        monkeypatch.setattr(type(u), "nonzero", lambda self, f, bound: map(
+            lambda e: drawn.append(e) or e, nonzero(self, f, bound)))
         for M in ([ZERO], [BrandtElem(5, 0, 5), ZERO]):
             assert check_prop49_condition(u, M, fam013, 8) is False
-        assert consumed == []
+        assert drawn == []
 
     @pytest.mark.parametrize("support", ["0,1,3", "2,5", "0,+4", "5"])
     def test_bound_zero_matches_naive(self, support):
@@ -743,8 +745,8 @@ class TestEveryProductComputed:
 class TestProp49EarlyStop:
     """A failing prop49 query stops at its first witness, the first member in
     window order whose phi- or psi-image lies in M: its phi and psi calls are
-    the naive prefix that ends there, and no run after the witness's run is
-    built."""
+    the naive prefix that ends there, and exactly the nonzero members up to
+    the witness are drawn from the neighbourhood's stream."""
 
     @pytest.mark.parametrize("support, bound", [("0,1,3", 6), ("0,1,3", 9), ("0,2,+7", 9), ("2,5", 8)])
     def test_calls_end_at_the_first_witness(self, monkeypatch, support, bound):
@@ -753,34 +755,31 @@ class TestProp49EarlyStop:
         rng = random.Random(bound)
         Ms = [[m] for m in diag] + [rng.sample(diag, 3) for _ in range(10)]
         nbhds = [Tau1Nbhd(n) for n in range(bound + 1)] + [AcNbhd(frozenset(e)) for e in EXCLUDED]
-        # each query's members and runs, before the patches below
-        queries = [(u, M, [e for e in restricted_universe(f, bound) if e in u],
-                    [list(run) for run in u.runs(f, bound)]) for u in nbhds for M in Ms]
+        # each query's members, the zero first, before the patches below
+        queries = [(u, M, [e for e in restricted_universe(f, bound) if e in u])
+                   for u in nbhds for M in Ms]
 
-        calls, built = [], []
+        calls, drawn = [], []
         for name, fn in (("phi", phi), ("psi", psi)):
             monkeypatch.setattr(topology, name, lambda e, name=name, fn=fn: calls.append((name, e)) or fn(e))
         for cls in (Tau1Nbhd, AcNbhd):
-            def counted(self, f, bound, runs=cls.runs):
-                for run in runs(self, f, bound):
-                    built.append(run)
-                    yield run
+            def counted(self, f, bound, nonzero=cls.nonzero):
+                return map(lambda e: drawn.append(e) or e, nonzero(self, f, bound))
 
-            monkeypatch.setattr(cls, "runs", counted)
+            monkeypatch.setattr(cls, "nonzero", counted)
 
         failing = 0
-        for u, M, members, runs in queries:
+        for u, M, members in queries:
             w = next((i for i, e in enumerate(members) if phi(e) in M or psi(e) in M), None)
             calls.clear()
-            built.clear()
+            drawn.clear()
             assert check_prop49_condition(u, M, f, bound) is (w is None)
             if w is None:
+                assert drawn == members[1:], (u, M)
                 continue
             failing += 1
             assert calls == [(name, e) for e in members[:w + 1] for name in ("phi", "psi")], (u, M)
-            # the zero comes before the first run
-            witness_run = 0 if w == 0 else 1 + next(i for i, run in enumerate(runs) if members[w] in run)
-            assert len(built) == witness_run, (u, M)
+            assert drawn == members[1:w + 1], (u, M)
         assert failing > len(queries) // 2
 
 
@@ -788,8 +787,8 @@ class TestWindowCalls:
     """perfbench/child.py counts the calls each query makes to the module
     global `topology.restricted_universe`.  Only the `ac` continuity and
     inversion sweeps read the window through that name, once per sweep;
-    the τ1 sweeps generate their members, and prop49 walks the runs of
-    either kind, so neither reads it."""
+    the τ1 sweeps generate their members, and prop49 draws the nonzero
+    stream of either kind, so neither reads it."""
 
     @pytest.mark.parametrize("argv, calls", [
         (["ac-check", "--nbhd", "ac:(2,5)(3,4)", "--elem", "(3;1;4)"], 2),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, product
 
 from .core import (
@@ -104,12 +104,22 @@ def window(f: AtomicFamily, bound: int) -> Iterator[BrandtElem]:
                                          for row in range(bound + 1) for k in f.support.upto(row)))
 
 
+@lru_cache(maxsize=2)
+def _cached_window(f: AtomicFamily, bound: int) -> tuple[BrandtElem, ...]:
+    return tuple(window(f, bound))
+
+
 def restricted_universe(f: AtomicFamily, bound: int) -> list[BrElem]:
     """The zero, then the window: every restricted element with
-    row, col <= bound, in sorted (row, val, col) order."""
-    out: list[BrElem] = [ZERO]
-    out.extend(window(f, bound))
-    return out
+    row, col <= bound, in sorted (row, val, col) order.
+
+    The two most recent windows are cached as tuples, so a sweep that reads
+    the same window again does not rebuild it; each call still returns a
+    fresh list.  The bound is checked first, since the cache's keys equate
+    True with 1 and 2.0 with 2.
+    """
+    _natural_bound(bound)
+    return [ZERO, *_cached_window(f, bound)]
 
 
 def verify_embedding_homomorphism(f: AtomicFamily, bound: int) -> VerificationReport:

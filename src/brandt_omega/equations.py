@@ -16,8 +16,8 @@ from .brandt import (
     brandt_invert,
     brandt_multiply,
     fiber,
-    restricted_universe,
     validate_restricted,
+    window,
 )
 from .core import ZERO
 from .errors import InvalidElementError
@@ -71,7 +71,9 @@ def brute_force_solutions(
 
     Complete whenever bound >= max of the four equation coordinates plus
     the largest relevant support element, since solutions live in a fiber
-    at known coordinates.
+    at known coordinates.  Each call builds its own window from
+    `brandt.window`, never the cached one behind `restricted_universe`, so
+    the oracle shares no state with the library it checks.
     """
     if side not in ("left", "right"):
         raise InvalidElementError(f"side must be 'left' or 'right', got {side!r}")
@@ -79,6 +81,6 @@ def brute_force_solutions(
         raise InvalidElementError("the brute-force oracle covers nonzero right-hand sides only")
     validate_restricted(A, f)
     validate_restricted(B, f)
-    window = restricted_universe(f, bound)  # sorted; the zero never solves
-    args = (repeat(A), window) if side == "left" else (window, repeat(A))
-    return [X for X, prod in zip(window, map(brandt_multiply, *args)) if prod == B]
+    elems = list(window(f, bound))  # sorted and nonzero; the zero never solves
+    args = (repeat(A), elems) if side == "left" else (elems, repeat(A))
+    return [X for X, prod in zip(elems, map(brandt_multiply, *args)) if prod == B]

@@ -67,6 +67,48 @@ class TestRestricted:
         assert rest == sorted(rest)
 
 
+class TestWindowCache:
+    """restricted_universe keeps the two most recent windows; each call
+    still returns a fresh list equal to the naive window."""
+
+    @staticmethod
+    def naive(f, bound):
+        return [ZERO, *(BrandtElem(r, k, c) for r in range(bound + 1) for k in f.support.upto(r)
+                        for c in range(k, bound + 1))]
+
+    def test_one_window_built_once(self, fam013, window_builds):
+        first = restricted_universe(fam013, 7)
+        second = restricted_universe(fam013, 7)
+        assert first == second == self.naive(fam013, 7) and first is not second
+        assert window_builds == [(fam013, 7)]
+
+    def test_a_family_parsed_twice_shares_one_entry(self, window_builds):
+        f1, f2 = parse_family("0,2,+7"), parse_family("0,2,+7")
+        assert f1 is not f2
+        assert restricted_universe(f1, 9) == restricted_universe(f2, 9)
+        assert window_builds == [(f1, 9)]
+
+    def test_a_third_key_evicts_the_least_recently_used(self, fam013, fam25, window_builds):
+        restricted_universe(fam013, 6)
+        restricted_universe(fam25, 6)
+        restricted_universe(fam013, 6)  # now (fam25, 6) is the least recently used
+        restricted_universe(fam013, 5)
+        assert window_builds == [(fam013, 6), (fam25, 6), (fam013, 5)]
+        restricted_universe(fam013, 6)
+        restricted_universe(fam013, 5)
+        assert len(window_builds) == 3
+        restricted_universe(fam25, 6)
+        assert window_builds[3:] == [(fam25, 6)]
+
+    def test_mutating_a_result_leaves_the_cache(self, fam013):
+        univ = restricted_universe(fam013, 5)
+        univ[1] = ZERO
+        univ.reverse()
+        univ.append(BrandtElem(9, 0, 9))
+        del univ[:3]
+        assert restricted_universe(fam013, 5) == self.naive(fam013, 5)
+
+
 class TestElementType:
     """BrandtElem is a tuple subclass: results must still be BrandtElem,
     never a bare tuple, and must never equal an atom triple."""

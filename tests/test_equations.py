@@ -14,6 +14,7 @@ from brandt_omega.equations import (
     solve_right,
 )
 from brandt_omega.errors import InvalidElementError
+from brandt_omega.families import parse_family
 
 
 class TestSolveLeft:
@@ -81,6 +82,19 @@ class TestBruteForceAgreement:
             right = solve_right(A, B, fam013)
             assert list(left.solutions) == brute_force_solutions(A, B, "left", top, fam013)
             assert list(right.solutions) == brute_force_solutions(A, B, "right", top, fam013)
+
+    def test_each_call_builds_its_own_window(self, window_builds):
+        # the cached window behind restricted_universe is warm for (f, 25),
+        # yet every oracle call still builds the window itself
+        f = parse_family("0,2,+7")
+        univ = restricted_universe(f, 25)
+        assert window_builds == [(f, 25)]
+        A, B = BrandtElem(9, 2, 14), BrandtElem(9, 2, 20)
+        sides = [("left", solve_left), ("right", solve_right), ("left", solve_left)]
+        for n, (side, solve) in enumerate(sides, 1):
+            assert brute_force_solutions(A, B, side, 25, f) == list(solve(A, B, f).solutions)
+            assert window_builds == [(f, 25)] * (n + 1)
+        assert restricted_universe(f, 25) == univ and len(window_builds) == 4
 
     def test_solutions_inside_stated_fiber(self, fam013):
         univ = [e for e in restricted_universe(fam013, 3) if e is not ZERO]

@@ -110,6 +110,9 @@ NATURAL_INPUTS = [
     ("census bound", lambda x: census_atoms(F_TAIL, x), InvalidElementError),
     ("elements bound", lambda x: elements_upto(F_TAIL, x), InvalidElementError),
     ("window bound", lambda x: restricted_universe(F_TAIL, x), InvalidElementError),
+    # the window cache's keys equate True with 1 and 2.0 with 2
+    ("cached window bound", lambda x: [restricted_universe(F_TAIL, n) for n in (1, 2, x)],
+     InvalidElementError),
     ("universe bound", lambda x: BoundedUniverse.atoms(F013, x), InvalidElementError),
     ("atom i", lambda x: validate_elem(AtomElem(x, 0, 0), F_TAIL), InvalidElementError),
     ("atom j", lambda x: validate_elem(AtomElem(0, x, 0), F_TAIL), InvalidElementError),
@@ -125,8 +128,9 @@ class TestNaturalInputs:
         assert is_natural(0) and is_natural(7) and is_natural(10**40)
         assert not any(map(is_natural, [-1, True, False, 2.0, 2.5, "3", None, (1,)]))
 
-    # 4.5 passes every `< 0` test and reaches the tail 4 by `>=`; True is 1.
-    @pytest.mark.parametrize("x", [True, 2.7, 4.5, "3"], ids=repr)
+    # 4.5 passes every `< 0` test and reaches the tail 4 by `>=`; True is 1
+    # and 2.0 is 2, as keys of a dict or a cache.
+    @pytest.mark.parametrize("x", [True, 2.0, 2.7, 4.5, "3"], ids=repr)
     @pytest.mark.parametrize("name, call, error", NATURAL_INPUTS, ids=[c[0] for c in NATURAL_INPUTS])
     def test_non_int_raises_the_documented_error(self, name, call, error, x):
         with pytest.raises(error):

@@ -216,10 +216,14 @@ class TestRuns:
 
     @pytest.mark.parametrize("bound", [-1, True, False, 2.0])
     def test_bad_bound_raises_on_the_call(self, support, bound):
-        # a lazy stream must not defer the check to its first member
+        # a lazy stream must not defer the check to its first member, and the
+        # window cache, whose keys equate True with 1 and 2.0 with 2, must
+        # not answer for a bound equal to a cached natural
         f = parse_family(support)
-        for stream in (partial(window, f), partial(Tau1Nbhd(0).nonzero, f),
-                       partial(AcNbhd({(2, 5)}).nonzero, f)):
+        if bound != -1:
+            restricted_universe(f, int(bound))
+        for stream in (partial(restricted_universe, f), partial(window, f),
+                       partial(Tau1Nbhd(0).nonzero, f), partial(AcNbhd({(2, 5)}).nonzero, f)):
             with pytest.raises(InvalidElementError, match="^bound must be a natural$"):
                 stream(bound)
 
@@ -785,10 +789,11 @@ class TestProp49EarlyStop:
 
 class TestWindowCalls:
     """perfbench/child.py counts the calls each query makes to the module
-    global `topology.restricted_universe`.  Only the `ac` continuity and
-    inversion sweeps read the window through that name, once per sweep;
-    the τ1 sweeps generate their members, and prop49 draws the nonzero
-    stream of either kind, so neither reads it."""
+    global `topology.restricted_universe`: reads of that name, not window
+    builds, which the window cache behind it may spare.  Only the `ac`
+    continuity and inversion sweeps read the window through that name,
+    once per sweep; the τ1 sweeps generate their members, and prop49 draws
+    the nonzero stream of either kind, so neither reads it."""
 
     @pytest.mark.parametrize("argv, calls", [
         (["ac-check", "--nbhd", "ac:(2,5)(3,4)", "--elem", "(3;1;4)"], 2),
@@ -811,6 +816,15 @@ class TestWindowCalls:
         main(["topo", *argv, "--family", "0,1,3", "--bound", "8"])
         capsys.readouterr()
         assert len(seen) == calls
+
+    def test_ac_check_builds_its_window_once(self, capsys, window_builds):
+        # its two sweeps read one window, which the cache builds once
+        from brandt_omega.cli import main
+
+        code = main(["topo", "ac-check", "--nbhd", "ac:(2,5)(3,4)", "--elem", "(3;1;4)",
+                     "--family", "0,1,3", "--bound", "8"])
+        capsys.readouterr()
+        assert code == 0 and window_builds == [(parse_family("0,1,3"), 8)]
 
 
 @pytest.fixture

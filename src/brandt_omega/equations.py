@@ -8,7 +8,6 @@ cofinite and is returned as a symbolic predicate instead.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import repeat
 
 from .brandt import (
     BrandtElem,
@@ -22,7 +21,6 @@ from .brandt import (
 from .core import ZERO
 from .errors import InvalidElementError
 from .families import AtomicFamily
-from .report import _gc_paused
 
 
 FiniteSolutions = namedtuple("FiniteSolutions", "solutions")
@@ -63,7 +61,6 @@ def solve_right(A: BrElem, B: BrElem, f: AtomicFamily) -> SolutionSet:
     return FiniteSolutions(tuple(map(brandt_invert, mirrored.solutions)))
 
 
-@_gc_paused
 def brute_force_solutions(
     A: BrElem, B: BrElem, side: str, bound: int, f: AtomicFamily
 ) -> list[BrandtElem]:
@@ -71,9 +68,10 @@ def brute_force_solutions(
 
     Complete whenever bound >= max of the four equation coordinates plus
     the largest relevant support element, since solutions live in a fiber
-    at known coordinates.  Each call builds its own window from
-    `brandt.window`, never the cached one behind `restricted_universe`, so
-    the oracle shares no state with the library it checks.
+    at known coordinates.  Each call scans a fresh `brandt.window` as it is
+    generated, never the cached window behind `restricted_universe`, so the
+    oracle shares no state with the library it checks; it keeps only the
+    solutions, not the window or the products.
     """
     if side not in ("left", "right"):
         raise InvalidElementError(f"side must be 'left' or 'right', got {side!r}")
@@ -81,6 +79,7 @@ def brute_force_solutions(
         raise InvalidElementError("the brute-force oracle covers nonzero right-hand sides only")
     validate_restricted(A, f)
     validate_restricted(B, f)
-    elems = list(window(f, bound))  # sorted and nonzero; the zero never solves
-    args = (repeat(A), elems) if side == "left" else (elems, repeat(A))
-    return [X for X, prod in zip(elems, map(brandt_multiply, *args)) if prod == B]
+    # the window is sorted and nonzero; the zero never solves
+    if side == "left":
+        return [X for X in window(f, bound) if brandt_multiply(A, X) == B]
+    return [X for X in window(f, bound) if brandt_multiply(X, A) == B]

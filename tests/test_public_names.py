@@ -8,6 +8,9 @@ that check yet.  Those names sit in ACCEPTANCE_ONLY with their criterion.
 Every name a module of the package or the scripts imports is read in that
 module, too.  The package's __init__ is exempt: its imports are the
 package root, which test_records pins.
+
+No module of the package imports gc: the cyclic collector is process-wide
+state, and a library that switched it would switch it for every caller.
 """
 
 import ast
@@ -69,3 +72,13 @@ def unread_imports(tree: ast.Module) -> set[str]:
                          ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_every_import_is_read(path):
     assert unread_imports(ast.parse(path.read_text(), str(path))) == set()
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_gc(path):
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {alias.name.partition(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {(node.module or "").partition(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and not node.level}
+    assert "gc" not in imported

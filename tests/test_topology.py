@@ -599,9 +599,11 @@ class TestSeededDefects:
 
 
 class TestFirstFailure:
-    """The sweeps compute all products, then report the first member with
-    a product outside the set: seeded defects at chosen members, each pinned
-    to (passed, checked, counterexample, note) of the naive scans."""
+    """The translate sweeps compute all products, then report the first
+    member with a product outside the set; the inversion sweep tests each
+    inverse as it is built and stops at the first one outside.  Seeded
+    defects at chosen members, each pinned to (passed, checked,
+    counterexample, note) of the naive scans."""
 
     F, BOUND = parse_family("0,1,3"), 8
     BAD, WORSE = BrandtElem(2, 0, 5), BrandtElem(2, 1, 5)  # both outside ac:(2,5)
@@ -670,6 +672,22 @@ class TestFirstFailure:
         assert not r.passed and r.checked == members.index(want)
         assert _four(r) == _naive_four(naive_inversion_ac({(2, 5)}, self.F, self.BOUND, inv),
                                        naive_inversion_ac_counterexample({(2, 5)}, self.F, self.BOUND, inv))
+
+    def test_inversion_ac_stops_at_the_first_miss(self, monkeypatch):
+        u = AcNbhd(frozenset({(2, 5)}))
+        members = AcNbhd(frozenset({(5, 2)})).members(self.F, self.BOUND)
+        i = len(members) // 3
+        inverted = []
+
+        def corrupted(e):
+            inverted.append(e)
+            return self.BAD if e == members[i] else brandt_invert(e)
+
+        monkeypatch.setattr(topology, "brandt_invert", corrupted)
+        r = check_inversion_ac(u, self.F, self.BOUND)
+        assert (r.passed, r.checked, r.counterexample) == (False, i, (members[i], self.BAD))
+        # each member up to the miss once, then the miss again for the counterexample
+        assert inverted == members[:i + 1] + [members[i]]
 
 
 class TestFirstMiss:
@@ -835,8 +853,10 @@ def collector_restored():
 
 
 class TestCollectorPaused:
-    """The window sweeps switch the cyclic collector off while they run and
-    leave it as they found it, whether they pass, fail or raise."""
+    """No window sweep changes the cyclic collector's state, whether it
+    passes, fails or raises, and none holds enough new objects to run a
+    collection.  (The class keeps the name it had when the sweeps paused
+    the collector, so the test ids stay stable.)"""
 
     F = parse_family("0,1,3")
     D = BrandtElem(2, 0, 2)  # what a seeded defect returns: outside every u below
@@ -885,14 +905,19 @@ class TestCollectorPaused:
         assert gc.isenabled() is enabled
 
     @pytest.mark.parametrize("name", ["check_inversion_ac", "check_shift_continuity_ac",
-                                      "brute_force_solutions"])
+                                      "brute_force_solutions", "brute_force_solutions-right"])
     def test_no_collection_during_a_window_sweep(self, collector_restored, name):
+        # Beyond the cached window a sweep holds no new objects, so on a warm
+        # cache it runs no collection.  Filling the cache does collect, which
+        # is why the cache readers run warm.  The oracle never reads the
+        # cache, so its rows hold with the cache cold.
         f, u, x = parse_family("0,2,+7"), AcNbhd({(2, 5), (9, 3)}), BrandtElem(9, 2, 14)
+        oracle = partial(equations.brute_force_solutions, x, BrandtElem(9, 2, 20))
         call = {
             "check_inversion_ac": lambda: check_inversion_ac(u, f, 25),
             "check_shift_continuity_ac": lambda: check_shift_continuity_ac(u, x, f, 25),
-            "brute_force_solutions": lambda: equations.brute_force_solutions(
-                x, BrandtElem(9, 2, 20), "left", 25, f),
+            "brute_force_solutions": lambda: oracle("left", 25, f),
+            "brute_force_solutions-right": lambda: oracle("right", 25, f),
         }[name]
         starts = []
 
@@ -900,6 +925,8 @@ class TestCollectorPaused:
             if phase == "start":
                 starts.append(info["generation"])
 
+        if not name.startswith("brute_force_solutions"):
+            restricted_universe(f, 25)
         gc.enable()
         gc.collect()  # empty the young generation, so no collection falls due on entry
         gc.callbacks.append(hook)
